@@ -16,7 +16,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .bss import decompose, technique_names
-from .errors import TechniqueFailure
+from .errors import NumericalFailure, TechniqueFailure
 from .numkernel import derive_rng
 from .scoring import best_assignment
 from .synth import (MAX_COMPONENTS, MIN_COMPONENTS, NOISE_LEVELS,
@@ -146,7 +146,7 @@ def run_dataset(plan: BenchmarkPlan, library, dataset_key) -> list:
                     record.update(failed=False, error=report.dataset_error,
                                   converged=result.converged,
                                   runtime=result.runtime_seconds)
-                except TechniqueFailure as exc:
+                except (TechniqueFailure, NumericalFailure) as exc:
                     record.update(failed=True, error=None, converged=False,
                                   runtime=0.0, failure=str(exc))
                 records.append(record)
@@ -210,13 +210,8 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
         if record_sink is not None:
             record_sink(record)
 
-    records = [done[key] for key in sorted(done.keys(), key=_sort_key)]
+    records = [done[key] for key in sorted(done)]
     return collect_cells(records), records
-
-
-def _sort_key(key: tuple) -> tuple:
-    model, noise, mode, dataset, norm, technique, k_offset = key
-    return (model, noise, mode, dataset, norm, technique, k_offset)
 
 
 def collect_cells(records) -> list:

@@ -420,7 +420,7 @@ def nnmf(dataset: MixtureDataset, k: int, init: str = "nndsvd", seed: int = 0,
             denom = wtw[j, j]
             if denom <= eps:
                 continue
-            h[j] = np.maximum(h[j] + (wtx[j] - wtw[j] @ h) / denom, 0.0)
+            np.maximum(h[j] + (wtx[j] - wtw[j] @ h) / denom, 0.0, out=h[j])
         # update W columns given H
         hht = h @ h.T
         xht = x @ h.T
@@ -429,7 +429,10 @@ def nnmf(dataset: MixtureDataset, k: int, init: str = "nndsvd", seed: int = 0,
             if denom <= eps:
                 continue
             w[:, j] = np.maximum(w[:, j] + (xht[:, j] - w @ hht[:, j]) / denom, 0.0)
-        history.append(float(np.sum((x - w @ h) ** 2)))
+        # |X - WH|^2 from the sweep's own products: H (so hht and xht)
+        # did not change during the W half-sweep
+        history.append(norm_x - 2.0 * float(np.sum(w * xht))
+                       + float(np.sum((w.T @ w) * hht)))
         if history[-2] - history[-1] <= tol * max(norm_x, eps):
             converged = True
             break
@@ -538,7 +541,9 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
 
     ``ols_als`` uses unconstrained least squares in both directions;
     ``nnls`` constrains the concentration step to be nonnegative and first
-    applies the same negative-intensity preprocessing as NMF.  The default
+    applies the same negative-intensity preprocessing as NMF.  Each sweep
+    solves that step for every spectrum in one batched NNLS call, warm
+    started from the previous sweep's concentrations.  The default
     "provided" initialization uses the magnitude-rectified leading right
     singular vectors.
     """
@@ -573,7 +578,7 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
     norm_x = max(float(np.linalg.norm(x)), np.finfo(float).tiny)
     for _ in range(max_iter):
         if regression == "nnls":
-            conc = np.stack([nnls(spectra.T, row) for row in x])
+            conc = nnls(spectra.T, x.T, start=conc.T).T
         else:
             coef, used_ridge = _regress(spectra.T, x.T)
             conc = coef.T

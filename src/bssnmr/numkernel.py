@@ -1,9 +1,10 @@
 """Shared numerical primitives.
 
-Dense linear algebra (SVD, symmetric eigendecomposition, NNLS) is delegated
-to numpy/scipy behind small validating wrappers.  The simplex minimizer, the
-Jacobi joint diagonalizer and the rectangular maximum-weight assignment are
-implemented here directly.
+Dense linear algebra (SVD, symmetric eigendecomposition) and the
+rectangular maximum-weight assignment are delegated to numpy/scipy behind
+small validating wrappers.  The batched nonnegative least squares solver,
+the simplex minimizer and the Jacobi joint diagonalizer are implemented
+here directly.
 """
 
 from typing import Callable, NamedTuple, Sequence
@@ -81,17 +82,120 @@ def sym_eig(m, sym_tol: float = 1e-10):
     return w[order], v[:, order]
 
 
-def nnls(a, b) -> np.ndarray:
-    """Nonnegative least squares min ||a x - b|| s.t. x >= 0 (active set)."""
+def nnls(a, b, start=None) -> np.ndarray:
+    """Nonnegative least squares min ||a x - b|| s.t. x >= 0, every column
+    of ``b`` at once.
+
+    Lawson-Hanson active-set method worked in Gram space (G = a.T a,
+    R = a.T b) as in FNNLS (Bro & De Jong, J. Chemometrics 11:393, 1997),
+    with all right-hand sides advanced together as in fast combinatorial
+    NNLS (Van Benthem & Keenan, J. Chemometrics 18:441, 2004).  ``b`` is a
+    vector or an (n, m) matrix; the result is shaped like ``b`` with the
+    first axis of length a.shape[1].  ``start`` (shaped like the result) is
+    a previous solution whose support seeds the passive sets; any start
+    gives the same optimum, a close one gives it in fewer steps.  Raises
+    :class:`NumericalFailure` past 3 k outer iterations, scipy's cap.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape[0] != b.shape[0]:
+    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[0] != b.shape[0]:
         raise ValueError("nnls shape mismatch between matrix and rhs")
+    k = a.shape[1]
+    gram = a.T @ a
+    rhs = (a.T @ b.reshape(b.shape[0], -1)).T         # (m, k): one row per rhs
+    # a non-finite entry of a or b always reaches the diagonal of gram or rhs
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise ValueError("nnls input contains non-finite values")
+    if start is None:
+        passive = np.zeros(rhs.shape, dtype=bool)
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (k,) + b.shape[1:]:
+            raise ValueError("nnls start must have the shape of the solution")
+        passive = start.reshape(k, -1).T > 0
+
+    x = np.zeros(rhs.shape)
+    if passive.any():
+        # Feasible start: the passive-set solution clipped to its positive
+        # part, made stationary again where clipping shrank the passive set.
+        s = _passive_solve(gram, rhs, passive)
+        clipped = np.flatnonzero((passive & (s <= 0)).any(axis=1))
+        passive &= s > 0
+        x = np.where(passive, s, 0.0)
+        if clipped.size:
+            _make_feasible(gram, rhs, x, passive, clipped,
+                           _passive_solve(gram, rhs[clipped], passive[clipped]))
+
+    eps = np.finfo(float).eps
+    blocked = np.zeros_like(passive)
+    iterations = 0
+    while True:
+        fit = x @ gram
+        dual = rhs - fit
+        tol = 10.0 * k * eps * np.maximum(np.abs(rhs).max(axis=1),
+                                          np.abs(fit).max(axis=1))
+        free = ~passive & ~blocked & (dual > tol[:, None])
+        todo = np.flatnonzero(free.any(axis=1))
+        if todo.size == 0:
+            break
+        iterations += 1
+        if iterations > 3 * k:
+            raise NumericalFailure(f"nnls iteration cap of {3 * k} exceeded")
+        enter = np.argmax(np.where(free[todo], dual[todo], -np.inf), axis=1)
+        passive[todo, enter] = True
+        s = _passive_solve(gram, rhs[todo], passive[todo])
+        # A variable whose dual was rounding noise comes out nonpositive
+        # (it cannot in exact arithmetic): leave it out of this column
+        # until another variable enters, as Lawson and Hanson do.
+        rejected = s[np.arange(todo.size), enter] <= 0
+        passive[todo[rejected], enter[rejected]] = False
+        blocked[todo[rejected], enter[rejected]] = True
+        todo, s = todo[~rejected], s[~rejected]
+        blocked[todo] = False
+        _make_feasible(gram, rhs, x, passive, todo, s)
+    return x.T.reshape((k,) + b.shape[1:])
+
+
+def _make_feasible(gram, rhs, x, passive, todo, s) -> None:
+    """Lawson-Hanson inner loop on rows ``todo``, in place.
+
+    ``x`` is feasible and ``s`` the passive-set solution of each row.  Step
+    from x towards s until s is feasible, dropping the variables that reach
+    zero (at least one per pass); x ends as the final s.
+    """
+    while True:
+        bad = passive[todo] & (s <= 0)
+        rows = bad.any(axis=1)
+        if not rows.any():
+            break
+        h = todo[rows]
+        xh, sh = x[h], s[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(bad[rows], xh / (xh - sh), np.inf)
+        hit = np.argmin(ratio, axis=1)
+        alpha = ratio[np.arange(h.size), hit]
+        xh = xh + alpha[:, None] * (sh - xh)
+        xh[np.arange(h.size), hit] = 0.0
+        x[h] = xh
+        passive[h] &= xh > 0
+        s[rows] = _passive_solve(gram, rhs[h], passive[h])
+    x[todo] = np.where(passive[todo], s, 0.0)
+
+
+def _passive_solve(gram, rhs, passive) -> np.ndarray:
+    """Unconstrained least squares on each row's passive set, one stacked
+    solve: active rows and columns of the Gram matrix become identity and
+    their right-hand sides zero, so active variables come out 0."""
+    both = passive[:, :, None] & passive[:, None, :]
+    g = np.where(both, gram, 0.0)
+    diag = np.arange(gram.shape[0])
+    g[:, diag, diag] = np.where(passive, g[:, diag, diag], 1.0)
+    r = np.where(passive, rhs, 0.0)[:, :, None]
     try:
-        x, _ = scipy.optimize.nnls(a, b)
-    except RuntimeError as exc:
-        raise NumericalFailure(f"nnls iteration cap exceeded: {exc}") from exc
-    return x
+        return np.linalg.solve(g, r)[:, :, 0]
+    except np.linalg.LinAlgError:
+        # an exactly dependent passive set: minimum-norm least squares
+        return (np.linalg.pinv(g, hermitian=True) @ r)[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +351,9 @@ def assign_max(score) -> list:
     """Exact one-to-one assignment maximizing the summed score.
 
     ``score[i, j]`` is the (finite, nonnegative) reward for pairing row i
-    with column j.  Exactly min(rows, cols) pairs are selected.  Solved by
-    shortest augmenting paths on the negated matrix (Jonker-Volgenant
-    style), which is exactly optimal for any real-valued rewards.
+    with column j.  Exactly min(rows, cols) pairs are selected, sorted.
+    Solved exactly by scipy's shortest augmenting path method (Crouse,
+    IEEE TAES 52(4), 2016).
     """
     score = np.asarray(score, dtype=float)
     if score.ndim != 2 or score.size == 0:
@@ -259,57 +363,5 @@ def assign_max(score) -> list:
     if np.any(score < 0):
         raise ValueError("assign_max scores must be nonnegative")
 
-    transposed = score.shape[0] > score.shape[1]
-    cost = -(score.T if transposed else score)
-    n, m = cost.shape
-
-    # col_to_row[j] holds the row matched to column j; index 0 is a virtual
-    # column used to stage the row currently being inserted.
-    u = np.zeros(n)
-    v = np.zeros(m + 1)
-    col_to_row = np.full(m + 1, -1, dtype=int)
-    path = np.zeros(m + 1, dtype=int)
-
-    for row in range(n):
-        col_to_row[0] = row
-        j0 = 0
-        min_slack = np.full(m + 1, np.inf)
-        used = np.zeros(m + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = col_to_row[j0]
-            delta = np.inf
-            j1 = -1
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0, j - 1] - u[i0] - v[j]
-                if cur < min_slack[j]:
-                    min_slack[j] = cur
-                    path[j] = j0
-                if min_slack[j] < delta:
-                    delta = min_slack[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[col_to_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    min_slack[j] -= delta
-            j0 = j1
-            if col_to_row[j0] == -1:
-                break
-        while j0 != 0:
-            j1 = path[j0]
-            col_to_row[j0] = col_to_row[j1]
-            j0 = j1
-
-    pairs = []
-    for j in range(1, m + 1):
-        if col_to_row[j] >= 0:
-            if transposed:
-                pairs.append((j - 1, int(col_to_row[j])))
-            else:
-                pairs.append((int(col_to_row[j]), j - 1))
-    pairs.sort()
-    return pairs
+    rows, cols = scipy.optimize.linear_sum_assignment(score, maximize=True)
+    return sorted(zip(rows.tolist(), cols.tolist()))

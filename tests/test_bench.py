@@ -1,6 +1,7 @@
 import pytest
 
 from bssnmr import bench, synth
+from bssnmr.errors import NumericalFailure
 
 
 def tiny_plan(**overrides):
@@ -118,6 +119,25 @@ def test_cell_isolation():
     svd_rows_a = [r for r in with_extra.rows if r[0] == "svd"]
     svd_rows_b = [r for r in without.rows if r[0] == "svd"]
     assert svd_rows_a == svd_rows_b
+
+
+def test_numerical_failure_is_one_failed_record(small_library, monkeypatch):
+    real = bench.decompose
+
+    def flaky(dataset, technique, k, seed=0):
+        if technique == "pca" and k == 4:
+            raise NumericalFailure("nnls iteration cap of 12 exceeded")
+        return real(dataset, technique, k, seed=seed)
+
+    monkeypatch.setattr(bench, "decompose", flaky)
+    plan = tiny_plan(techniques=("svd", "pca"), k_offsets=(0, 1))
+    key = next(iter(plan.dataset_keys()))
+    records = bench.run_dataset(plan, small_library, key)
+    assert len(records) == 4
+    failed = [r for r in records if r["failed"]]
+    assert len(failed) == 1
+    assert (failed[0]["technique"], failed[0]["k_used"]) == ("pca", 4)
+    assert "iteration cap" in failed[0]["failure"]
 
 
 def test_runtime_factor_modal_decade():

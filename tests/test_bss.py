@@ -319,6 +319,17 @@ def test_nnmf_objective_monotone(small_library):
         assert np.all(np.diff(history) <= 1e-10 * history[0])
 
 
+def test_nnmf_objective_matches_direct_residual(small_library):
+    pures = synth.sample_components(small_library, 4, 105)
+    ds = synth.assemble_dataset(pures, "nutation", 105, noise_factor=0.0003)
+    for init in bss.NNMF_INITS:
+        result = bss.nnmf(ds, 5, init=init, seed=4)
+        x, _, _ = bss.nnmf_preprocess(ds.spectra)
+        direct = np.sum((x - result.coefficients @ result.components) ** 2)
+        history = result.meta["objective_history"]
+        assert abs(history[-1] - direct) <= 1e-10 * np.sum(x * x)
+
+
 def test_nndsvd_head_start_beats_random():
     rng = np.random.default_rng(103)
     wins = 0

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from bssnmr import numkernel as nk
+from bssnmr.errors import NumericalFailure
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +103,110 @@ def test_nnls_kkt_and_grid_oracle():
         objective = np.sum((a @ grid - b[:, None]) ** 2, axis=0)
         f_x = np.sum((a @ x - b) ** 2)
         assert f_x <= objective.min() + 1e-6
+
+
+def _nnls_designs(rng):
+    """(label, a, b): random, nearly collinear and rank-deficient designs."""
+    for trial in range(12):
+        n, k = 30, int(rng.integers(2, 9))
+        a = rng.standard_normal((n, k))
+        b = rng.standard_normal((n, 7))
+        yield "random", a, b
+        near = a[:, :1] + 1e-3 * rng.standard_normal((n, k))
+        yield "collinear", near, b
+        deficient = a.copy()
+        deficient[:, -1] = a[:, 0] + a[:, 1]
+        if k > 2:
+            deficient[:, -2] = a[:, 0]
+        yield "deficient", deficient, b
+
+
+def test_nnls_multi_rhs_matches_scipy_per_column():
+    rng = np.random.default_rng(31)
+    for label, a, b in _nnls_designs(rng):
+        x = nk.nnls(a, b)
+        assert x.shape == (a.shape[1], b.shape[1])
+        assert np.all(x >= 0), label
+        for j in range(b.shape[1]):
+            ref, _ = scipy.optimize.nnls(a, b[:, j])
+            f = np.sum((a @ x[:, j] - b[:, j]) ** 2)
+            f_ref = np.sum((a @ ref - b[:, j]) ** 2)
+            assert abs(f - f_ref) <= 1e-10 * f_ref, label
+            # KKT, relative to the size of the gradient's terms
+            grad = a.T @ (a @ x[:, j] - b[:, j])
+            scale = np.linalg.norm(a) * np.linalg.norm(b[:, j])
+            assert np.all(grad >= -1e-9 * scale), label
+            assert np.all(np.abs(grad[x[:, j] > 0]) <= 1e-9 * scale), label
+
+
+def test_nnls_start_gives_cold_start_optimum():
+    rng = np.random.default_rng(32)
+    for label, a, b in _nnls_designs(rng):
+        cold = nk.nnls(a, b)
+        f_cold = np.sum((a @ cold - b) ** 2, axis=0)
+        stale = nk.nnls(a, rng.standard_normal(b.shape))
+        for start in (stale, rng.standard_normal(cold.shape), np.ones(cold.shape), cold):
+            x = nk.nnls(a, b, start=start)
+            assert np.all(x >= 0), label
+            f = np.sum((a @ x - b) ** 2, axis=0)
+            assert np.all(np.abs(f - f_cold) <= 1e-10 * f_cold), label
+            if label == "random":
+                assert np.allclose(x, cold, rtol=0, atol=1e-10 * np.abs(cold).max())
+
+
+def test_nnls_exact_start_needs_one_solve(monkeypatch):
+    rng = np.random.default_rng(35)
+    a = rng.standard_normal((30, 6))
+    b = rng.standard_normal((30, 7))
+    x = nk.nnls(a, b)
+    calls = []
+    solve = nk._passive_solve
+    monkeypatch.setattr(nk, "_passive_solve",
+                        lambda *args: calls.append(1) or solve(*args))
+    assert np.allclose(nk.nnls(a, b, start=x), x, rtol=0, atol=1e-12)
+    assert len(calls) == 1
+
+
+def test_nnls_near_duplicate_columns_terminate():
+    # columns equal to 1e-8: the Gram matrix is singular to working
+    # precision, so duals of order rounding let variables enter that the
+    # solve then sets nonpositive; without rejecting them the active set
+    # cycles until the iteration cap
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        a = np.abs(rng.standard_normal((18, 1))) + 1e-8 * rng.standard_normal((18, 5))
+        b = np.abs(rng.standard_normal((18, 3)))
+        x = nk.nnls(a, b)
+        for j in range(3):
+            ref, _ = scipy.optimize.nnls(a, b[:, j])
+            f = np.sum((a @ x[:, j] - b[:, j]) ** 2)
+            f_ref = np.sum((a @ ref - b[:, j]) ** 2)
+            assert f <= f_ref * (1 + 1e-7)
+
+
+def test_nnls_vector_rhs_matches_matrix_column():
+    rng = np.random.default_rng(33)
+    a = rng.standard_normal((12, 4))
+    b = rng.standard_normal((12, 3))
+    x = nk.nnls(a, b)
+    for j in range(3):
+        single = nk.nnls(a, b[:, j], start=x[:, j])
+        assert single.shape == (4,)
+        assert np.allclose(single, x[:, j], rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        nk.nnls(a, b[:, 0], start=x)
+
+
+def test_nnls_iteration_cap_raises(monkeypatch):
+    # an inner loop that forgets every passive variable makes the outer loop
+    # re-enter the same variable forever
+    def forget(gram, rhs, x, passive, todo, s):
+        passive[todo] = False
+        x[todo] = 0.0
+
+    monkeypatch.setattr(nk, "_make_feasible", forget)
+    with pytest.raises(NumericalFailure):
+        nk.nnls(np.eye(3), np.array([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------

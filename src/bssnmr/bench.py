@@ -171,7 +171,9 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
 
     ``existing_records`` (from a previous interrupted run) are trusted for
     any dataset whose records are complete; incomplete datasets are rerun.
-    ``record_sink`` receives each fresh record as it is produced.
+    ``record_sink`` receives each fresh record as soon as its dataset is
+    done; datasets complete, and reach the sink, in plan key order at any
+    worker count.
     """
     if not library:
         raise ValueError("run_plan needs a nonempty component library")
@@ -190,10 +192,15 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
         if datasets_done.get((model, noise, mode, di), 0) < per_dataset:
             pending.append(dataset_key)
 
-    fresh = []
+    def keep(batch):
+        for record in batch:
+            done[record_key(record)] = record
+            if record_sink is not None:
+                record_sink(record)
+
     if workers <= 1 or not pending:
         for dataset_key in pending:
-            fresh.extend(run_dataset(plan, library, dataset_key))
+            keep(run_dataset(plan, library, dataset_key))
     else:
         _FORK_CONTEXT["plan"] = plan
         _FORK_CONTEXT["library"] = library
@@ -201,14 +208,9 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
             with ProcessPoolExecutor(max_workers=workers,
                                      mp_context=get_context("fork")) as pool:
                 for batch in pool.map(_fork_worker, pending):
-                    fresh.extend(batch)
+                    keep(batch)
         finally:
             _FORK_CONTEXT.clear()
-
-    for record in fresh:
-        done[record_key(record)] = record
-        if record_sink is not None:
-            record_sink(record)
 
     records = [done[key] for key in sorted(done)]
     return collect_cells(records), records

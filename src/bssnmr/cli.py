@@ -8,6 +8,7 @@ owns a worker pool sized by ``--workers`` (default from BSSNMR_WORKERS).
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -168,6 +169,39 @@ def _plan_from_json(path) -> bench_mod.BenchmarkPlan:
     return plan
 
 
+def _resume_records(records_path, per_dataset: int) -> list:
+    """Records of the datasets completed by an interrupted bench run.
+
+    Reading stops at the first line that is not whole JSON ending in a
+    newline: the truncated tail of a killed run.  Records reach the file
+    one dataset at a time, so the file is cut after the leading records
+    whose datasets are complete.  The unfinished dataset is rerun; its
+    fresh records then start on a line of their own and repeat no key.
+    """
+    lines = []
+    end = 0
+    with open(records_path, "rb") as handle:
+        for raw in handle:
+            if not raw.endswith(b"\n"):
+                break
+            try:
+                record = json.loads(raw)
+            except ValueError:
+                break
+            end += len(raw)
+            lines.append((end, record))
+    counts = Counter(bench_mod.record_key(record)[:4] for _, record in lines)
+    keep, existing = 0, []
+    for end, record in lines:
+        if counts[bench_mod.record_key(record)[:4]] < per_dataset:
+            break
+        keep = end
+        existing.append(record)
+    with open(records_path, "r+b") as handle:
+        handle.truncate(keep)
+    return existing
+
+
 @cli.command("bench")
 @click.option("--plan", "plan_path", required=True,
               help="Path to a plan JSON file, or 'full' for the complete "
@@ -183,10 +217,11 @@ def cmd_bench(plan_path, library_path, out_dir, workers, resume):
     """Run a benchmark plan and emit aggregate CSV tables.
 
     Results are persisted incrementally (records.jsonl, one record per
-    decomposition) so interrupted runs can resume.  The error tables
-    (table1/2/3.csv) are deterministic for a given plan and library at any
-    worker count; runtime_factors.csv holds wall-clock data and is excluded
-    from that guarantee.
+    decomposition, each dataset's records as soon as it finishes) so
+    interrupted runs can resume.  The error tables (table1/2/3.csv) are
+    deterministic for a given plan and library at any worker count;
+    runtime_factors.csv holds wall-clock data and is excluded from that
+    guarantee.
     """
     if workers is None:
         workers = int(os.environ.get("BSSNMR_WORKERS", "1"))
@@ -201,15 +236,9 @@ def cmd_bench(plan_path, library_path, out_dir, workers, resume):
     records_path = out / "records.jsonl"
     existing = []
     if resume and records_path.exists():
-        with open(records_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    existing.append(json.loads(line))
-                except json.JSONDecodeError:
-                    break  # truncated tail from an interrupted run
+        per_dataset = (len(plan.normalizations) * len(plan.techniques)
+                       * len(plan.k_offsets))
+        existing = _resume_records(records_path, per_dataset)
     mode = "a" if existing else "w"
     with open(records_path, mode, encoding="utf-8", newline="\n") as handle:
         def sink(record):

@@ -76,6 +76,56 @@ def test_resume_skips_complete_datasets(small_library):
     assert [r["error"] for r in resumed] == [r["error"] for r in full]
 
 
+def test_sink_stops_plan_after_first_dataset(small_library, monkeypatch):
+    """A sink that fails on the 2nd dataset has every record of the 1st,
+    and the plan stops there."""
+    plan = tiny_plan(n_datasets_per_cell=3)
+    first = next(iter(plan.dataset_keys()))
+    real = bench.run_dataset
+    ran = []
+
+    def counted(plan, library, dataset_key):
+        ran.append(dataset_key)
+        return real(plan, library, dataset_key)
+
+    monkeypatch.setattr(bench, "run_dataset", counted)
+    received = []
+
+    def sink(record):
+        if record["dataset"] != first[6]:
+            raise KeyboardInterrupt
+        received.append(record)
+
+    with pytest.raises(KeyboardInterrupt):
+        bench.run_plan(plan, small_library, record_sink=sink)
+    assert len(ran) == 2
+    expected = real(plan, small_library, first)
+    assert [bench.record_key(r) for r in received] == [
+        bench.record_key(r) for r in expected]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sink_has_finished_datasets_when_plan_dies(small_library, monkeypatch,
+                                                   workers):
+    plan = tiny_plan(n_datasets_per_cell=3)
+    keys = list(plan.dataset_keys())
+    real = bench.run_dataset
+
+    def dies_on_last(plan, library, dataset_key):
+        if dataset_key == keys[-1]:
+            raise RuntimeError("killed")
+        return real(plan, library, dataset_key)
+
+    monkeypatch.setattr(bench, "run_dataset", dies_on_last)
+    received = []
+    with pytest.raises(RuntimeError, match="killed"):
+        bench.run_plan(plan, small_library, workers=workers,
+                       record_sink=received.append)
+    expected = [r for key in keys[:-1] for r in real(plan, small_library, key)]
+    assert [bench.record_key(r) for r in received] == [
+        bench.record_key(r) for r in expected]
+
+
 def synthetic_records():
     base = dict(model="inversion", noise=0.0, mode="fixed4", normalization="none",
                 true_k=4, k_used=4, clamped=False, converged=True, runtime=0.3)

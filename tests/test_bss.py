@@ -330,6 +330,26 @@ def test_nnmf_objective_matches_direct_residual(small_library):
         assert abs(history[-1] - direct) <= 1e-10 * np.sum(x * x)
 
 
+def test_hals_rows_matches_textbook_update():
+    rng = np.random.default_rng(106)
+    for k, n in ((4, 1024), (6, 20)):
+        basis = rng.random((20, k))
+        basis[:, 2] = 0.0                     # row 2 has a zero diagonal
+        gram = basis.T @ basis
+        rhs = basis.T @ rng.random((20, n))
+        start = rng.random((k, n))
+        expected = start.copy()
+        for j in range(k):
+            if gram[j, j] > 0.0:
+                expected[j] = np.maximum(
+                    expected[j] + (rhs[j] - gram[j] @ expected) / gram[j, j], 0.0)
+        f = start.copy()
+        bss._hals_rows(f, gram, rhs, np.finfo(float).tiny, np.empty(n))
+        assert np.array_equal(f[2], start[2])
+        assert np.max(np.abs(f - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert f.min() >= 0.0
+
+
 def test_nndsvd_head_start_beats_random():
     rng = np.random.default_rng(103)
     wins = 0
@@ -400,6 +420,41 @@ def test_simplisma_deterministic(small_library):
 # ---------------------------------------------------------------------------
 # mcr
 # ---------------------------------------------------------------------------
+
+def test_regress_matches_lstsq():
+    rng = np.random.default_rng(304)
+    for rows, k, cols in ((20, 4, 1024), (1024, 6, 20), (50, 10, 3)):
+        design = rng.standard_normal((rows, k))
+        target = rng.standard_normal((rows, cols))
+        coef, used_ridge = bss._regress(design, target)
+        reference, *_ = np.linalg.lstsq(design, target, rcond=None)
+        assert not used_ridge
+        assert np.max(np.abs(coef - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+
+def test_regress_duplicated_column_is_finite():
+    rng = np.random.default_rng(305)
+    for rows, cols in ((20, 1024), (1024, 20)):
+        design = rng.standard_normal((rows, 3))
+        design = np.column_stack([design, design[:, 1]])
+        coef, _ = bss._regress(design, rng.standard_normal((rows, cols)))
+        assert coef.shape == (4, cols)
+        assert np.all(np.isfinite(coef))
+
+
+def test_mcr_reports_ridge_fallback(small_library):
+    pures = synth.sample_components(small_library, 3, 306)
+    ds = synth.assemble_dataset(pures, "inversion", 306, noise_factor=0.0003)
+    duplicated = np.stack([pures[0].intensity, pures[1].intensity,
+                           pures[1].intensity])
+    for variant in ("ols_als", "nnls"):
+        result = bss.mcr(ds, 3, regression=variant, init_components=duplicated,
+                         max_iter=5)
+        assert result.meta["ridge_fallback"]
+        assert np.all(np.isfinite(result.components))
+    result = bss.mcr(ds, 3, regression="ols_als")
+    assert not result.meta["ridge_fallback"]
+
 
 def test_mcr_true_init_is_fixed_point(disjoint_pures_2):
     ds = synth.assemble_dataset(disjoint_pures_2, "inversion", 301, noise_factor=0.0)

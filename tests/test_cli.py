@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bssnmr import fileio, synth
+from bssnmr import bench, fileio, synth
 from bssnmr.cli import main
 
 TINY_SPEC = {
@@ -235,6 +235,28 @@ def test_bench_resume_matches_uninterrupted(tmp_path, tiny_library):
                  str(tiny_library), "--out", str(resumed), "--resume"]) == 0
     for name in ("table1.csv", "table2.csv", "table3.csv"):
         assert (full / name).read_bytes() == (resumed / name).read_bytes()
+
+
+def test_bench_resume_after_truncated_tail(tmp_path, tiny_library):
+    plan_path = bench_plan_file(tmp_path)
+    full = tmp_path / "full"
+    assert main(["bench", "--plan", str(plan_path), "--library",
+                 str(tiny_library), "--out", str(full)]) == 0
+    lines = (full / "records.jsonl").read_text().splitlines()
+    # 5 whole lines end inside the second dataset (4 records per dataset)
+    for whole in (4, 5):
+        resumed = tmp_path / f"resumed{whole}"
+        resumed.mkdir()
+        (resumed / "records.jsonl").write_text(
+            "\n".join(lines[:whole]) + "\n" + lines[whole][:25])
+        assert main(["bench", "--plan", str(plan_path), "--library",
+                     str(tiny_library), "--out", str(resumed), "--resume"]) == 0
+        written = [json.loads(line) for line in
+                   (resumed / "records.jsonl").read_text().splitlines()]
+        keys = [bench.record_key(record) for record in written]
+        assert len(keys) == len(set(keys)) == len(lines)
+        for name in ("table1.csv", "table2.csv", "table3.csv"):
+            assert (full / name).read_bytes() == (resumed / name).read_bytes()
 
 
 def test_bench_rejects_bad_plan(tmp_path, tiny_library):

@@ -16,9 +16,9 @@ from multiprocessing import get_context
 import numpy as np
 
 from .bss import decompose, technique_names
-from .errors import NumericalFailure, TechniqueFailure
+from .errors import NumericalFailure, TechniqueFailure, UndefinedStatistic
 from .numkernel import derive_rng
-from .scoring import best_assignment
+from .scoring import best_assignment, overprediction_ratio
 from .synth import (MAX_COMPONENTS, MIN_COMPONENTS, NOISE_LEVELS,
                     assemble_dataset, normalize, sample_components)
 
@@ -297,13 +297,11 @@ def aggregate_table2(records) -> AggregateTable:
         base = groups.get((family, 0))
         if not base:
             continue
-        base_mean = float(np.mean(base))
         row = [family, 1.0]
         for offset in offsets:
-            plus = groups.get((family, offset))
-            if plus and base_mean > 0:
-                row.append(float(np.mean(plus)) / base_mean)
-            else:
+            try:
+                row.append(overprediction_ratio(base, groups.get((family, offset), [])))
+            except UndefinedStatistic:
                 row.append("")
         rows.append(tuple(row))
     return AggregateTable(

@@ -6,7 +6,8 @@ per-spectrum mixing coefficients.  Outputs carry arbitrary sign and scale;
 all quality statements are made after affine alignment (see scoring).
 
 Technique identifiers are stable strings such as ``svd``, ``fastica``,
-``nnmf:nndsvdar``, ``simplisma:offset8`` or ``mcr:nnls:random``.
+``nnmf:nndsvdar``, ``simplisma:offset8`` or ``mcr:nnls:random``;
+:data:`TECHNIQUES` maps each one to the function that runs it.
 """
 
 import time
@@ -30,9 +31,9 @@ class TechniqueId:
     variant: str = ""
 
     def __post_init__(self):
-        if self.name not in technique_names():
+        if self.name not in TECHNIQUES:
             raise ValueError(f"unknown technique {self.name!r}; "
-                             f"valid: {', '.join(technique_names())}")
+                             f"valid: {', '.join(TECHNIQUES)}")
 
     @property
     def name(self) -> str:
@@ -42,14 +43,30 @@ class TechniqueId:
         return self.name
 
 
+# Every technique by identifier, each as run(dataset, k, seed).  The order
+# is the roster order, and the bench seeds each technique by its index in
+# it, so reordering changes every record.
+TECHNIQUES = {
+    "svd": lambda ds, k, seed: svd_like(ds, k),
+    "truncated_svd": lambda ds, k, seed: svd_like(ds, k),
+    "pca": lambda ds, k, seed: svd_like(ds, k, centered=True),
+    "fastica": lambda ds, k, seed: fastica(ds, k, seed),
+    "jade": lambda ds, k, seed: jade(ds, k),
+    "sobi": lambda ds, k, seed: sobi(ds, k),
+    "vca": lambda ds, k, seed: vca(ds, k, seed),
+    **{f"nnmf:{init}": lambda ds, k, seed, init=init: nnmf(ds, k, init, seed)
+       for init in NNMF_INITS},
+    **{f"simplisma:offset{off}": lambda ds, k, seed, off=off: simplisma(ds, k, off)
+       for off in SIMPLISMA_OFFSETS},
+    **{f"mcr:{reg}" + ("" if init == "provided" else f":{init}"):
+       lambda ds, k, seed, reg=reg, init=init: mcr(ds, k, reg, init, seed=seed)
+       for reg in MCR_REGRESSIONS for init in MCR_INITS},
+}
+
+
 def technique_names() -> tuple:
-    """Every legal technique identifier string."""
-    names = ["svd", "truncated_svd", "pca", "fastica", "jade", "sobi", "vca"]
-    names += [f"nnmf:{init}" for init in NNMF_INITS]
-    names += [f"simplisma:offset{off}" for off in SIMPLISMA_OFFSETS]
-    for reg in MCR_REGRESSIONS:
-        names += [f"mcr:{reg}", f"mcr:{reg}:random"]
-    return tuple(names)
+    """Every legal technique identifier string, in roster order."""
+    return tuple(TECHNIQUES)
 
 
 def parse_technique(name: str) -> TechniqueId:
@@ -90,24 +107,7 @@ def decompose(dataset: MixtureDataset, technique, k: int, seed: int = 0) -> Comp
         raise ValueError(f"k must lie in [1, {dataset.n_spectra}]")
 
     start = time.perf_counter()
-    family, variant = technique.family, technique.variant
-    if family in ("svd", "truncated_svd", "pca"):
-        result = svd_like(dataset, k, centered=(family == "pca"))
-    elif family == "fastica":
-        result = fastica(dataset, k, seed)
-    elif family == "jade":
-        result = jade(dataset, k)
-    elif family == "sobi":
-        result = sobi(dataset, k)
-    elif family == "vca":
-        result = vca(dataset, k, seed)
-    elif family == "nnmf":
-        result = nnmf(dataset, k, init=variant, seed=seed)
-    elif family == "simplisma":
-        result = simplisma(dataset, k, offset_percent=int(variant[len("offset"):]))
-    else:
-        reg, _, init = variant.partition(":")
-        result = mcr(dataset, k, regression=reg, init=init or "provided", seed=seed)
+    result = TECHNIQUES[technique.name](dataset, k, seed)
     result.technique = technique
     result.k_requested = k
     result.runtime_seconds = time.perf_counter() - start
@@ -338,16 +338,10 @@ def shift_nonnegative(x: np.ndarray):
     return x + offset, offset
 
 
-def nnmf_preprocess(x: np.ndarray, flip: bool = True, offset: bool = True):
+def nnmf_preprocess(x: np.ndarray):
     """Negative-intensity preprocessing: row flips, then a global offset."""
-    flipped_rows = np.array([], dtype=int)
-    shift = 0.0
-    if flip:
-        x, flipped_rows = flip_negative_rows(x)
-    if offset:
-        x, shift = shift_nonnegative(x)
-    else:
-        x = np.maximum(x, 0.0)
+    x, flipped_rows = flip_negative_rows(x)
+    x, shift = shift_nonnegative(x)
     return x, flipped_rows, shift
 
 
@@ -412,7 +406,6 @@ def _hals_rows(f: np.ndarray, gram: np.ndarray, rhs: np.ndarray, eps: float,
 
 
 def nnmf(dataset: MixtureDataset, k: int, init: str = "nndsvd", seed: int = 0,
-         flip: bool = True, offset: bool = True,
          max_iter: int = 400, tol: float = 1e-9) -> ComponentSet:
     """Frobenius-loss NMF by fast HALS (Cichocki & Phan, 2009).
 
@@ -428,7 +421,7 @@ def nnmf(dataset: MixtureDataset, k: int, init: str = "nndsvd", seed: int = 0,
     if init not in NNMF_INITS:
         raise ValueError(f"unknown nnmf init {init!r}")
     rng = seeded_rng(seed)
-    x, flipped_rows, shift = nnmf_preprocess(dataset.spectra, flip, offset)
+    x, flipped_rows, shift = nnmf_preprocess(dataset.spectra)
     m, n = x.shape
 
     if init == "random":
@@ -542,25 +535,24 @@ def _sanitize(values: np.ndarray) -> np.ndarray:
 # multivariate curve resolution
 # ---------------------------------------------------------------------------
 
-def _regress(design: np.ndarray, target: np.ndarray, ridge: float = 1e-10):
+def _regress(design: np.ndarray, target: np.ndarray):
     """Solve min ||design @ coef - target||_F by the normal equations.
 
     The k x k Gram matrix is inverted once and applied to every right-hand
     side, which for the 1,024 columns of a spectra step is several times
     faster than a stacked solve.  A singular Gram matrix, or a non-finite
-    result, falls back to the ridge-regularized system; the returned flag
-    says so.  Returns ``(coef, used_ridge)``.
+    result, falls back to the minimum-norm least-squares solution of the
+    design itself (``np.linalg.lstsq``), which exists for any design; the
+    returned flag says so.  Returns ``(coef, fell_back)``.
     """
     gram = design.T @ design
-    rhs = design.T @ target
     try:
-        coef = np.linalg.inv(gram) @ rhs
+        coef = np.linalg.inv(gram) @ (design.T @ target)
         if np.all(np.isfinite(coef)):
             return coef, False
     except np.linalg.LinAlgError:
         pass
-    coef = np.linalg.inv(gram + ridge * np.eye(gram.shape[0])) @ rhs
-    return coef, True
+    return np.linalg.lstsq(design, target, rcond=None)[0], True
 
 
 def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
@@ -574,7 +566,9 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
     solves that step for every spectrum in one batched NNLS call, warm
     started from the previous sweep's concentrations.  The default
     "provided" initialization uses the magnitude-rectified leading right
-    singular vectors.
+    singular vectors.  ``meta["ridge_fallback"]`` is set when any
+    unconstrained step had a singular Gram matrix and was solved by
+    ``np.linalg.lstsq`` instead (see :func:`_regress`).
     """
     if regression not in MCR_REGRESSIONS:
         raise ValueError(f"unknown mcr regression {regression!r}")
@@ -609,12 +603,11 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
         if regression == "nnls":
             conc = nnls(spectra.T, x.T, start=conc.T).T
         else:
-            coef, used_ridge = _regress(spectra.T, x.T)
+            coef, fell_back = _regress(spectra.T, x.T)
             conc = coef.T
-            meta["ridge_fallback"] |= used_ridge
-        coef, used_ridge = _regress(conc, x)
-        spectra = coef
-        meta["ridge_fallback"] |= used_ridge
+            meta["ridge_fallback"] |= fell_back
+        spectra, fell_back = _regress(conc, x)
+        meta["ridge_fallback"] |= fell_back
         residual = float(np.linalg.norm(x - conc @ spectra))
         history.append(residual)
         if len(history) > 1 and abs(history[-2] - residual) <= tol * norm_x:

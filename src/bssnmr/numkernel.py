@@ -1,13 +1,12 @@
 """Shared numerical primitives.
 
-Dense linear algebra (SVD, symmetric eigendecomposition) and the
-rectangular maximum-weight assignment are delegated to numpy/scipy behind
-small validating wrappers.  The batched nonnegative least squares solver,
-the simplex minimizer and the Jacobi joint diagonalizer are implemented
+The thin SVD and the rectangular maximum-weight assignment are delegated
+to numpy/scipy behind small validating wrappers.  The batched nonnegative
+least squares solver and the Jacobi joint diagonalizer are implemented
 here directly.
 """
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.optimize
@@ -37,14 +36,6 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     return seeded_rng(np.random.SeedSequence([int(master_seed), *map(int, key)]))
 
 
-def gaussian(rng: np.random.Generator, size=None):
-    return rng.standard_normal(size)
-
-
-def uniform(rng: np.random.Generator, size=None):
-    return rng.random(size)
-
-
 # ---------------------------------------------------------------------------
 # decompositions
 # ---------------------------------------------------------------------------
@@ -67,19 +58,6 @@ def svd(m) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"svd did not converge: {exc}") from exc
     return SvdResult(u, s, vt)
-
-
-def sym_eig(m, sym_tol: float = 1e-10):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("sym_eig expects a square matrix")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.T)) > sym_tol * scale:
-        raise ValueError("sym_eig input is not symmetric within tolerance")
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
 
 
 def nnls(a, b, start=None) -> np.ndarray:
@@ -196,80 +174,6 @@ def _passive_solve(gram, rhs, passive) -> np.ndarray:
     except np.linalg.LinAlgError:
         # an exactly dependent passive set: minimum-norm least squares
         return (np.linalg.pinv(g, hermitian=True) @ r)[:, :, 0]
-
-
-# ---------------------------------------------------------------------------
-# Nelder-Mead simplex minimization
-# ---------------------------------------------------------------------------
-
-class NelderMeadResult(NamedTuple):
-    x: np.ndarray
-    fun: float
-    converged: bool
-    iterations: int
-
-
-def nelder_mead(objective: Callable[[np.ndarray], float], x0,
-                x_tol: float = 1e-8, f_tol: float = 1e-12,
-                max_iter: int = 2000) -> NelderMeadResult:
-    """Downhill simplex minimization.
-
-    Coefficients: reflection 1, expansion 2, contraction 0.5, shrink 0.5.
-    Terminates when both the simplex diameter and the function spread fall
-    below tolerance; hitting the iteration cap returns the best point so
-    far flagged as non-converged.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    ndim = x0.size
-    f0 = float(objective(x0))
-    if not np.isfinite(f0):
-        raise ValueError("objective is not finite at the starting point")
-
-    # scipy-style initial simplex: 5% displacement per coordinate
-    simplex = np.tile(x0, (ndim + 1, 1))
-    for i in range(ndim):
-        simplex[i + 1, i] += 0.05 * x0[i] if x0[i] != 0.0 else 0.00025
-    fvals = np.array([f0] + [float(objective(p)) for p in simplex[1:]])
-
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-        spread_x = np.max(np.abs(simplex[1:] - simplex[0]))
-        spread_f = np.max(np.abs(fvals[1:] - fvals[0]))
-        if spread_x <= x_tol and spread_f <= f_tol * (abs(fvals[0]) + f_tol):
-            converged = True
-            break
-        iterations += 1
-
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_r = float(objective(reflected))
-        if fvals[0] <= f_r < fvals[-2]:
-            simplex[-1], fvals[-1] = reflected, f_r
-            continue
-        if f_r < fvals[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_e = float(objective(expanded))
-            if f_e < f_r:
-                simplex[-1], fvals[-1] = expanded, f_e
-            else:
-                simplex[-1], fvals[-1] = reflected, f_r
-            continue
-        contracted = centroid + 0.5 * (worst - centroid)
-        f_c = float(objective(contracted))
-        if f_c < fvals[-1]:
-            simplex[-1], fvals[-1] = contracted, f_c
-            continue
-        # shrink toward the best vertex
-        simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-        fvals[1:] = [float(objective(p)) for p in simplex[1:]]
-
-    best = int(np.argmin(fvals))
-    return NelderMeadResult(simplex[best].copy(), float(fvals[best]),
-                            converged, iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -36,34 +36,34 @@ class MatchReport:
     dataset_error: float = 0.0
 
 
+def _affine_fits(predicted: np.ndarray, pures: np.ndarray):
+    """Least-squares fits predicted[i] ~ B + M * pures[j] for every pair.
+
+    ``predicted`` is (k, n) and ``pures`` (q, n); returns the (k, q) arrays
+    B, M and lack_of_fit.  Each lack-of-fit is the sum of squares of its
+    explicitly formed residual, so an exact fit comes out at rounding level
+    and never negative.
+    """
+    pure_mean = pures.mean(axis=1)
+    centered = pures - pure_mean[:, None]
+    variance = np.einsum("jn,jn->j", centered, centered)
+    if np.any(variance == 0.0):
+        raise DegenerateFitError("pure spectrum is constant; affine fit undefined")
+    pred_mean = predicted.mean(axis=1)
+    m = (predicted - pred_mean[:, None]) @ centered.T / variance
+    b = pred_mean[:, None] - m * pure_mean
+    residual = predicted[:, None, :] - (b[:, :, None] + m[:, :, None] * pures)
+    return b, m, np.einsum("ijn,ijn->ij", residual, residual)
+
+
 def fit_pair(predicted, pure) -> PairFit:
     """Closed-form least-squares fit of predicted ~ B + M * pure."""
     predicted = np.asarray(predicted, dtype=float)
     pure = np.asarray(pure, dtype=float)
     if predicted.shape != pure.shape or predicted.ndim != 1 or predicted.size < 2:
         raise ValueError("fit_pair expects two equal-length vectors of size >= 2")
-    pure_mean = pure.mean()
-    centered = pure - pure_mean
-    variance = float(centered @ centered)
-    if variance == 0.0:
-        raise DegenerateFitError("pure spectrum is constant; affine fit undefined")
-    pred_mean = predicted.mean()
-    m = float(centered @ (predicted - pred_mean)) / variance
-    b = pred_mean - m * pure_mean
-    residual = predicted - (b + m * pure)
-    return PairFit(B=b, M=m, lack_of_fit=float(residual @ residual))
-
-
-def lack_of_fit_objective(predicted, pure):
-    """The (B, M) -> residual sum of squares map, for external minimizers."""
-    predicted = np.asarray(predicted, dtype=float)
-    pure = np.asarray(pure, dtype=float)
-
-    def objective(bm):
-        residual = predicted - (bm[0] + bm[1] * pure)
-        return float(residual @ residual)
-
-    return objective
+    b, m, lof = _affine_fits(predicted[None, :], pure[None, :])
+    return PairFit(B=float(b[0, 0]), M=float(m[0, 0]), lack_of_fit=float(lof[0, 0]))
 
 
 def best_assignment(predicted, pures) -> MatchReport:
@@ -73,8 +73,10 @@ def best_assignment(predicted, pures) -> MatchReport:
     sequence of PureComponent or a (q, n) array.  Every predicted component
     is brought to unit Euclidean norm before fitting, so the reported
     errors do not depend on each technique's arbitrary output scaling and
-    are comparable across techniques; a zero-norm prediction scores zero
-    against everything instead of fitting perfectly with M = 0.
+    are comparable across techniques.  A zero-norm prediction scores zero
+    against everything, and if it is matched anyway its lack-of-fit is
+    1.0, the largest a unit-norm prediction can have, so it never passes
+    for a perfect fit.  All k x q fits come from one array computation.
     """
     pred_rows = np.asarray(getattr(predicted, "components", predicted), dtype=float)
     pure_rows = np.asarray(
@@ -86,26 +88,21 @@ def best_assignment(predicted, pures) -> MatchReport:
 
     norms = np.linalg.norm(pred_rows, axis=1)
     alive = norms > 0.0
-    scaled = np.where(alive[:, None], pred_rows / np.where(alive, norms, 1.0)[:, None],
-                      pred_rows)
+    scaled = pred_rows / np.where(alive, norms, 1.0)[:, None]
 
-    n_pred, n_pure = len(pred_rows), len(pure_rows)
-    fits = [[fit_pair(scaled[i], pure_rows[j]) for j in range(n_pure)]
-            for i in range(n_pred)]
-    score = np.array([[1.0 / max(fits[i][j].lack_of_fit, SCORE_EPSILON)
-                       if alive[i] else 0.0
-                       for j in range(n_pure)] for i in range(n_pred)])
+    b, m, lof = _affine_fits(scaled, pure_rows)
+    lof[~alive] = 1.0
+    score = np.where(alive[:, None], 1.0 / np.maximum(lof, SCORE_EPSILON), 0.0)
     pairs = assign_max(score)
 
     report = MatchReport()
-    matched_pred, matched_pure = set(), set()
-    for i, j in pairs:
-        report.pairs.append((i, j, fits[i][j]))
-        report.ensemble_score += score[i, j]
-        matched_pred.add(i)
-        matched_pure.add(j)
-    report.discarded_predicted = sorted(set(range(n_pred)) - matched_pred)
-    report.unmatched_pure = sorted(set(range(n_pure)) - matched_pure)
+    report.pairs = [(i, j, PairFit(B=float(b[i, j]), M=float(m[i, j]),
+                                   lack_of_fit=float(lof[i, j])))
+                    for i, j in pairs]
+    report.ensemble_score = float(sum(score[i, j] for i, j in pairs))
+    matched_pred, matched_pure = zip(*pairs)
+    report.discarded_predicted = sorted(set(range(len(pred_rows))) - set(matched_pred))
+    report.unmatched_pure = sorted(set(range(len(pure_rows))) - set(matched_pure))
     report.dataset_error = dataset_error(report, pred_rows.shape[1])
     return report
 

@@ -31,6 +31,13 @@ def test_technique_roster():
     assert "simplisma:offset8" in names
     assert "mcr:nnls:random" in names
     assert len(names) == 7 + 4 + 5 + 4
+    # the bench seeds each technique by its index in this tuple
+    assert names == (
+        "svd", "truncated_svd", "pca", "fastica", "jade", "sobi", "vca",
+        "nnmf:random", "nnmf:nndsvd", "nnmf:nndsvda", "nnmf:nndsvdar",
+        "simplisma:offset0", "simplisma:offset2", "simplisma:offset8",
+        "simplisma:offset12", "simplisma:offset15",
+        "mcr:ols_als", "mcr:ols_als:random", "mcr:nnls", "mcr:nnls:random")
 
 
 def test_parse_technique_validates():
@@ -440,6 +447,21 @@ def test_regress_duplicated_column_is_finite():
         coef, _ = bss._regress(design, rng.standard_normal((rows, cols)))
         assert coef.shape == (4, cols)
         assert np.all(np.isfinite(coef))
+
+
+def test_regress_exactly_singular_gram_falls_back_to_lstsq():
+    # a large duplicated column: an absolute ridge on this Gram matrix
+    # (diagonal ~1e13) leaves it exactly singular
+    rng = np.random.default_rng(307)
+    for rows, cols in ((20, 1024), (1024, 20)):
+        c = 1e6 * rng.standard_normal(rows)
+        design = np.column_stack([c, c, rng.standard_normal(rows)])
+        target = rng.standard_normal((rows, cols))
+        coef, fell_back = bss._regress(design, target)
+        reference, *_ = np.linalg.lstsq(design, target, rcond=None)
+        assert fell_back
+        assert np.all(np.isfinite(coef))
+        assert np.array_equal(coef, reference)
 
 
 def test_mcr_reports_ridge_fallback(small_library):

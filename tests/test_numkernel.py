@@ -9,7 +9,7 @@ from bssnmr.errors import NumericalFailure
 
 
 # ---------------------------------------------------------------------------
-# svd / sym_eig
+# svd
 # ---------------------------------------------------------------------------
 
 def test_svd_identity():
@@ -42,33 +42,6 @@ def test_svd_gram_matrix_oracle():
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         nk.svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-def test_sym_eig_diagonal():
-    w, _ = nk.sym_eig(np.diag([5.0, 1.0]))
-    assert np.allclose(w, [5.0, 1.0])
-
-
-def test_sym_eig_two_by_two():
-    w, v = nk.sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(w, [3.0, 1.0], atol=1e-12)
-    expected = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert min(np.linalg.norm(v[:, 0] - expected),
-               np.linalg.norm(v[:, 0] + expected)) < 1e-12
-
-
-def test_sym_eig_trace_identity():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((10, 10))
-    m = m + m.T
-    w, v = nk.sym_eig(m)
-    assert abs(w.sum() - np.trace(m)) < 1e-10
-    assert np.linalg.norm(v @ np.diag(w) @ v.T - m) < 1e-10 * np.linalg.norm(m)
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        nk.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,33 +183,6 @@ def test_nnls_iteration_cap_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# nelder_mead
-# ---------------------------------------------------------------------------
-
-def test_nelder_mead_1d_quadratic():
-    res = nk.nelder_mead(lambda v: (v[0] - 3.0) ** 2, [0.0])
-    assert res.converged
-    assert abs(res.x[0] - 3.0) < 1e-6
-
-
-def test_nelder_mead_anisotropic_quadratic():
-    res = nk.nelder_mead(lambda v: v[0] ** 2 + 10.0 * v[1] ** 2, [5.0, 5.0])
-    assert res.converged
-    assert np.max(np.abs(res.x)) < 1e-5
-
-
-def test_nelder_mead_iteration_cap_flagged():
-    res = nk.nelder_mead(lambda v: v[0] ** 2, [100.0], max_iter=3)
-    assert not res.converged
-    assert np.isfinite(res.fun)
-
-
-def test_nelder_mead_rejects_nonfinite_start():
-    with pytest.raises(ValueError):
-        nk.nelder_mead(lambda v: float("nan"), [1.0])
-
-
-# ---------------------------------------------------------------------------
 # joint diagonalization
 # ---------------------------------------------------------------------------
 
@@ -340,19 +286,6 @@ def test_rng_reproducible_stream():
     a = nk.seeded_rng(123).random(1000)
     b = nk.seeded_rng(123).random(1000)
     assert np.array_equal(a, b)
-
-
-def test_rng_uniform_mean():
-    draws = nk.uniform(nk.seeded_rng(77), 1_000_000)
-    assert abs(draws.mean() - 0.5) < 0.002
-
-
-def test_rng_gaussian_moments():
-    draws = nk.gaussian(nk.seeded_rng(78), 1_000_000)
-    assert abs(draws.mean()) < 0.01
-    assert abs(draws.var() - 1.0) < 0.01
-    kurtosis = np.mean((draws - draws.mean()) ** 4) / draws.var() ** 2
-    assert abs(kurtosis - 3.0) < 0.05
 
 
 def test_derive_rng_independent_keys():

@@ -2,10 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from bssnmr import scoring
 from bssnmr.errors import DegenerateFitError, UndefinedStatistic
-from bssnmr.numkernel import nelder_mead
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +44,10 @@ def test_fit_matches_simplex_minimizer():
         pure = rng.standard_normal(256)
         predicted = rng.standard_normal(256)
         fit = scoring.fit_pair(predicted, pure)
-        objective = scoring.lack_of_fit_objective(predicted, pure)
-        res = nelder_mead(objective, [0.0, 1.0], x_tol=1e-10, f_tol=1e-14)
+        res = scipy.optimize.minimize(
+            lambda bm: float(np.sum((predicted - (bm[0] + bm[1] * pure)) ** 2)),
+            [0.0, 1.0], method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000})
         assert fit.lack_of_fit <= res.fun + 1e-8
         assert abs(fit.lack_of_fit - res.fun) <= 1e-6 * max(res.fun, 1e-30)
 
@@ -138,6 +140,12 @@ def test_assignment_matches_bruteforce_random():
             assert sorted((i, j) for i, j, _ in report.pairs) == best_pairs
             assert abs(report.ensemble_score - best_total) \
                 <= 1e-9 * max(best_total, 1.0)
+            scaled = preds / np.linalg.norm(preds, axis=1)[:, None]
+            for i, j, fit in report.pairs:
+                single = scoring.fit_pair(scaled[i], pures[j])
+                for got, want in ((fit.B, single.B), (fit.M, single.M),
+                                  (fit.lack_of_fit, single.lack_of_fit)):
+                    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
             assert len(report.pairs) == min(n, m)
 
 
@@ -184,6 +192,17 @@ def test_dataset_error_zero_for_exact():
     pures = np.abs(rng.random((3, 64))) + 0.1
     report = scoring.best_assignment(pures.copy(), pures)
     assert report.dataset_error < 1e-25
+
+
+def test_dead_prediction_scores_worse_than_garbage():
+    rng = np.random.default_rng(13)
+    pures = np.abs(rng.random((2, 64))) + 0.1
+    zeros = scoring.best_assignment(np.vstack([pures[0], np.zeros(64)]), pures)
+    garbage = scoring.best_assignment(
+        np.vstack([pures[0], rng.standard_normal(64)]), pures)
+    assert [(i, j) for i, j, _ in zeros.pairs] == [(0, 0), (1, 1)]
+    assert zeros.pairs[1][2].lack_of_fit == 1.0
+    assert zeros.dataset_error > garbage.dataset_error
 
 
 def test_dataset_error_constant_residual():

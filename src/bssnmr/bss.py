@@ -468,16 +468,17 @@ def simplisma(dataset: MixtureDataset, k: int, offset_percent: float) -> Compone
 
     Purity of variable j is std_j / (mean_j + alpha) with alpha a fraction
     of the largest mean; later selections are weighted by the determinant of
-    the correlation-around-origin submatrix of the variables picked so far,
-    which suppresses candidates correlated with previous picks.
+    the correlation-around-origin submatrix of the candidate and the picks so
+    far, which suppresses candidates correlated with previous picks.  The
+    Schur complement det(C_PP) (c_jj - c_Pj . C_PP^-1 c_Pj) gives it from
+    the picked columns alone, so the n x n matrix is never formed.
     """
     d = dataset.spectra
     n_rows, n_cols = d.shape
     if not 1 <= k <= n_cols:
         raise ValueError(f"k must lie in [1, {n_cols}]")
 
-    mean = d.mean(axis=0)
-    std = d.std(axis=0)
+    mean, std = d.mean(axis=0), d.std(axis=0)
     alpha = (offset_percent / 100.0) * float(mean.max())
     with np.errstate(divide="ignore", invalid="ignore"):
         purity = std / (mean + alpha)
@@ -490,26 +491,25 @@ def simplisma(dataset: MixtureDataset, k: int, offset_percent: float) -> Compone
     inv_length = np.zeros_like(length_sq)
     np.divide(1.0, np.sqrt(length_sq), out=inv_length, where=length_sq > 0.0)
     scaled = d * inv_length
-    coo = scaled.T @ scaled / n_rows
+    diag = np.einsum("ij,ij->j", scaled, scaled) / n_rows
 
     selected = [int(np.argmax(_sanitize(purity)))]
     for step in range(1, k):
-        picked = np.array(selected)
-        sub = np.empty((n_cols, step + 1, step + 1))
-        sub[:, 0, 0] = np.diag(coo)
-        sub[:, 0, 1:] = coo[:, picked]
-        sub[:, 1:, 0] = coo[picked, :].T
-        sub[:, 1:, 1:] = coo[np.ix_(picked, picked)][None, :, :]
-        weights = np.maximum(np.linalg.det(sub), 0.0)
-        ranking = _sanitize(purity * weights)
-        ranking[picked] = -np.inf
+        cols = scaled.T @ scaled[:, selected] / n_rows   # the picked columns
+        try:
+            schur = diag - np.sum(cols.T * np.linalg.solve(cols[selected], cols.T), axis=0)
+            weights = np.maximum(np.linalg.det(cols[selected]) * schur, 0.0)
+        except np.linalg.LinAlgError:       # exactly singular: every det is 0
+            weights = np.zeros(n_cols)
+        with np.errstate(invalid="ignore"):   # infinite purity x 0 is NaN
+            ranking = _sanitize(purity * weights)
+        ranking[selected] = -np.inf
         choice = int(np.argmax(ranking))
         if not np.isfinite(ranking[choice]) or ranking[choice] <= 0.0:
-            # every determinant weight degenerated (the selected variables
-            # already span the data); fall back to the next-best variable
-            # by raw purity
+            # every weight degenerated (the picks already span the data):
+            # fall back to the next-best variable by raw purity
             fallback = _sanitize(purity.copy())
-            fallback[picked] = -np.inf
+            fallback[selected] = -np.inf
             choice = int(np.argmax(fallback))
             if fallback[choice] == -np.inf:
                 raise TechniqueFailure(
@@ -545,9 +545,9 @@ def _regress(design: np.ndarray, target: np.ndarray):
     design itself (``np.linalg.lstsq``), which exists for any design; the
     returned flag says so.  Returns ``(coef, fell_back)``.
     """
-    gram = design.T @ design
     try:
-        coef = np.linalg.inv(gram) @ (design.T @ target)
+        with np.errstate(invalid="ignore", over="ignore"):   # checked below
+            coef = np.linalg.inv(design.T @ design) @ (design.T @ target)
         if np.all(np.isfinite(coef)):
             return coef, False
     except np.linalg.LinAlgError:

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from bssnmr import bss, synth
+from bssnmr.errors import TechniqueFailure
 from bssnmr.scoring import best_assignment
 from conftest import aligned_abs_correlation
 
@@ -424,6 +427,102 @@ def test_simplisma_deterministic(small_library):
     assert a.meta["pure_variables"] == b.meta["pure_variables"]
 
 
+def full_matrix_picks(spectra, k, offset_percent):
+    """Reference selection from the n x n correlation matrix and the
+    determinant of every bordered (s+1) x (s+1) submatrix."""
+    n_rows, n_cols = spectra.shape
+    mean, std = spectra.mean(axis=0), spectra.std(axis=0)
+    alpha = offset_percent / 100.0 * float(mean.max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        purity = std / (mean + alpha)
+    purity[std == 0.0] = 0.0
+    length_sq = std ** 2 + (mean + alpha) ** 2
+    inv_length = np.zeros_like(length_sq)
+    np.divide(1.0, np.sqrt(length_sq), out=inv_length, where=length_sq > 0.0)
+    scaled = spectra * inv_length
+    coo = scaled.T @ scaled / n_rows
+    picked = [int(np.argmax(np.where(np.isnan(purity), -np.inf, purity)))]
+    while len(picked) < k:
+        s = len(picked)
+        sub = np.empty((n_cols, s + 1, s + 1))
+        sub[:, 0, 0] = np.diag(coo)
+        sub[:, 0, 1:] = coo[:, picked]
+        sub[:, 1:, 0] = coo[picked, :].T
+        sub[:, 1:, 1:] = coo[np.ix_(picked, picked)]
+        with np.errstate(invalid="ignore"):
+            ranking = purity * np.maximum(np.linalg.det(sub), 0.0)
+        ranking[np.isnan(ranking)] = -np.inf
+        ranking[picked] = -np.inf
+        assert np.isfinite(ranking.max()) and ranking.max() > 0.0
+        picked.append(int(np.argmax(ranking)))
+    return picked
+
+
+@pytest.mark.parametrize("model", ["inversion", "nutation"])
+def test_simplisma_matches_full_matrix_selection(small_library, model):
+    """On noisy data the Schur-complement weights pick exactly the variables
+    that the full-matrix determinants pick, at every offset and every k."""
+    for seed, n_pures, noise in ((107, 3, 0.0002), (108, 5, 0.001)):
+        pures = synth.sample_components(small_library, n_pures, seed)
+        ds = synth.assemble_dataset(pures, model, seed, noise_factor=noise)
+        for offset in bss.SIMPLISMA_OFFSETS:
+            reference = full_matrix_picks(ds.spectra, 10, offset)
+            for k in range(1, 11):
+                picks = bss.simplisma(ds, k, offset).meta["pure_variables"]
+                assert picks == reference[:k], (seed, offset, k)
+
+
+def test_simplisma_picks_are_nested(small_library):
+    """The first k picks at k + 1 are the picks at k."""
+    pures = synth.sample_components(small_library, 4, 109)
+    ds = synth.assemble_dataset(pures, "inversion", 109, noise_factor=0.0)
+    for offset in bss.SIMPLISMA_OFFSETS:
+        picks = [bss.simplisma(ds, k, offset).meta["pure_variables"]
+                 for k in range(1, 12)]
+        for shorter, longer in zip(picks, picks[1:]):
+            assert longer[:-1] == shorter
+
+
+def test_simplisma_rank2_falls_back_to_purity(grid, monkeypatch):
+    """Once two picks span rank-2 data every weight is exactly 0, and the
+    remaining picks come from raw purity."""
+    weights = synth.inversion_profile(1.0, 1.0, synth.recovery_times(1.0))
+    spectra = np.zeros((20, grid.n_points))
+    spectra[:, 300] = weights
+    spectra[:, 700] = 2.0 + np.cos(np.arange(20))
+    ds = make_dataset(spectra, grid)
+    calls = []
+    sanitize = bss._sanitize
+    monkeypatch.setattr(bss, "_sanitize",
+                        lambda values: calls.append(1) or sanitize(values))
+    returned = 0
+    for offset in bss.SIMPLISMA_OFFSETS:
+        calls.clear()
+        try:
+            picks = bss.simplisma(ds, 4, offset).meta["pure_variables"]
+        except TechniqueFailure:
+            continue
+        returned += 1
+        assert len(set(picks)) == 4
+        assert set(picks[:2]) == {300, 700}
+        # the first pick, one ranking per later pick, one per fallback
+        assert len(calls) == 1 + 3 + 2
+    assert returned > 0
+
+
+def test_simplisma_quiet_on_infinite_purity(grid):
+    """A zero-mean column has infinite purity at offset 0; its zero weight
+    after it is picked must not warn."""
+    rng = np.random.default_rng(0)
+    spectra = np.abs(rng.standard_normal((20, grid.n_points)))
+    spectra[:, 5] = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
+    ds = make_dataset(spectra, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = bss.simplisma(ds, 3, 0)
+    assert result.meta["pure_variables"] == [5, 760, 13]
+
+
 # ---------------------------------------------------------------------------
 # mcr
 # ---------------------------------------------------------------------------
@@ -462,6 +561,21 @@ def test_regress_exactly_singular_gram_falls_back_to_lstsq():
         assert fell_back
         assert np.all(np.isfinite(coef))
         assert np.array_equal(coef, reference)
+
+
+def test_regress_nonfinite_inverse_falls_back_quietly():
+    # a Gram matrix near the bottom of the double range: inv returns
+    # non-finite entries instead of raising
+    rng = np.random.default_rng(308)
+    design = 1e-155 * rng.standard_normal((20, 3))
+    target = rng.standard_normal((20, 1024))
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(np.linalg.inv(design.T @ design)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coef, fell_back = bss._regress(design, target)
+    assert fell_back
+    assert np.array_equal(coef, np.linalg.lstsq(design, target, rcond=None)[0])
 
 
 def test_mcr_reports_ridge_fallback(small_library):

@@ -208,16 +208,86 @@ def test_joint_diagonalize_recovers_known_rotation():
     assert off < 1e-10
 
 
+@pytest.mark.parametrize("k", [13, 14])
+def test_joint_diagonalize_recovers_known_rotation_at_jade_size(k):
+    # JADE's stack: k(k+1)/2 matrices, exactly jointly diagonal
+    rng = np.random.default_rng(k)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    mats = [q @ np.diag(rng.standard_normal(k)) @ q.T
+            for _ in range(k * (k + 1) // 2)]
+    res = nk.joint_diagonalize(mats)
+    assert res.converged
+    overlap = np.abs(res.V.T @ q)
+    assert np.allclose(overlap.max(axis=0), 1.0, atol=1e-8)
+    assert np.allclose(np.sort(overlap, axis=0)[:-1], 0.0, atol=1e-8)
+    rotated = np.array([res.V.T @ m @ res.V for m in mats])
+    rotated[:, np.arange(k), np.arange(k)] = 0.0
+    assert np.sum(rotated ** 2) < 1e-10
+
+
 def test_joint_diagonalize_off_diagonal_monotone():
     rng = np.random.default_rng(23)
-    for _ in range(100):
-        mats = []
-        for _ in range(3):
-            m = rng.standard_normal((4, 4))
-            mats.append(m + m.T)
-        res = nk.joint_diagonalize(mats, max_sweeps=20)
-        history = np.array(res.off_diagonal)
-        assert np.all(np.diff(history) <= 1e-9 * max(1.0, history[0]))
+    for k in (4, 7):
+        for _ in range(100):
+            mats = []
+            for _ in range(3):
+                m = rng.standard_normal((k, k))
+                mats.append(m + m.T)
+            res = nk.joint_diagonalize(mats, max_sweeps=20)
+            history = np.array(res.off_diagonal)
+            assert np.all(np.diff(history) <= 1e-9 * max(1.0, history[0]))
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_round_robin_schedule_visits_every_pair_once(k):
+    steps = nk.round_robin(k)
+    assert len(steps) == (0 if k == 1 else k - 1 + k % 2)
+    seen = []
+    for p, q in steps:
+        assert np.all(p < q)
+        touched = np.concatenate((p, q))
+        assert len(set(touched.tolist())) == touched.size   # disjoint pairs
+        seen.extend(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == list(itertools.combinations(range(k), 2))
+
+
+def givens_pairwise(mats, v, pairs, threshold):
+    """The textbook cyclic Jacobi update, one pair at a time."""
+    mats, v = mats.copy(), v.copy()
+    for p, q in pairs:
+        g1 = mats[:, p, p] - mats[:, q, q]
+        g2 = mats[:, p, q] + mats[:, q, p]
+        if np.sqrt(g2 @ g2) <= threshold:
+            continue
+        ton = g1 @ g1 - g2 @ g2
+        toff = 2.0 * (g1 @ g2)
+        theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
+        c, s = np.cos(theta), np.sin(theta)
+        if abs(s) <= threshold:
+            continue
+        for a in (mats.transpose(0, 2, 1), mats, v.T):   # columns, rows, V
+            a[..., p, :], a[..., q, :] = (c * a[..., p, :] + s * a[..., q, :],
+                                          -s * a[..., p, :] + c * a[..., q, :])
+    return mats, v
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_jacobi_step_equals_pairwise_givens(k):
+    rng = np.random.default_rng(29 + k)
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    for p, q in nk.round_robin(k):
+        mats = rng.standard_normal((6, k, k))
+        mats = mats + mats.transpose(0, 2, 1)
+        # the step's first pair has off-diagonal content below the
+        # threshold, though its angle is large: it must stay put
+        mats[:, p[0], q[0]] = mats[:, q[0], p[0]] = 1e-14
+        mats[:, q[0], q[0]] = mats[:, p[0], p[0]] + 1e-14
+        want_mats, want_v = givens_pairwise(mats, v, zip(p, q), 1e-12)
+        mats, v, rotated = nk._jacobi_step(mats, v, p, q, 1e-12)
+        assert rotated
+        assert np.max(np.abs(mats - want_mats)) < 1e-12
+        assert np.max(np.abs(v - want_v)) < 1e-12
+        assert np.all(mats[:, p[0], q[0]] == 1e-14)
 
 
 # ---------------------------------------------------------------------------

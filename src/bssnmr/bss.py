@@ -11,6 +11,7 @@ Technique identifiers are stable strings such as ``svd``, ``fastica``,
 """
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,46 @@ def decompose(dataset: MixtureDataset, technique, k: int, seed: int = 0) -> Comp
 
 
 # ---------------------------------------------------------------------------
+# shared factorizations
+# ---------------------------------------------------------------------------
+
+# The matrices that techniques factor, each as a function of the spectra.
+_FORMS = {
+    "raw": lambda x: x,
+    "centered": lambda x: x - x.mean(axis=0, keepdims=True),
+    "transposed": lambda x: x.T,
+    "transposed_centered": lambda x: x.T - x.T.mean(axis=1, keepdims=True),
+    "nonnegative": lambda x: nnmf_preprocess(x)[0],
+}
+_FACTORS = weakref.WeakKeyDictionary()
+
+
+def _factors(dataset: MixtureDataset, form: str):
+    """Thin SVD of one form of the dataset's spectra, factored once.
+
+    ``form`` names the matrix: ``raw`` (svd, truncated_svd, fastica, jade,
+    mcr:ols_als), ``centered`` about the column mean (pca), ``transposed``
+    (vca), ``transposed_centered`` about the row mean of the transpose
+    (sobi, vca) and ``nonnegative``, the nnmf preprocessing (nnmf and
+    mcr:nnls).  Each is formed by the expression its techniques used on
+    their own, so the factors are bit-identical to an unshared call.  They
+    are kept per dataset object, dropped with it, and shared read-only by
+    every technique and k; spectra that are still writable could change
+    under the cache, so they are factored afresh on every call.
+    """
+    x = dataset.spectra
+    if x.flags.writeable:
+        return svd(_FORMS[form](x))
+    cached = _FACTORS.setdefault(dataset, {})
+    if form not in cached:
+        factors = svd(_FORMS[form](x))
+        for a in factors:
+            a.setflags(write=False)
+        cached[form] = factors
+    return cached[form]
+
+
+# ---------------------------------------------------------------------------
 # subspace techniques
 # ---------------------------------------------------------------------------
 
@@ -122,11 +163,10 @@ def svd_like(dataset: MixtureDataset, k: int, centered: bool = False) -> Compone
     """Raw (SVD / truncated SVD) or column-centered (PCA) singular vectors.
 
     Components are the top-k right singular vectors; coefficients are the
-    corresponding scores U * S.
+    corresponding scores U * S.  Every k reads the same factorization of
+    the dataset (:func:`_factors`), so svd and truncated_svd share it.
     """
-    x = dataset.spectra
-    mean = x.mean(axis=0, keepdims=True) if centered else None
-    u, s, vt = svd(x - mean if centered else x)
+    u, s, vt = _factors(dataset, "centered" if centered else "raw")
     comps = vt[:k].copy()
     coeff = u[:, :k] * s[:k]
     meta = {"singular_values": s.tolist(), "centered": centered}
@@ -139,18 +179,17 @@ def svd_like(dataset: MixtureDataset, k: int, centered: bool = False) -> Compone
 # ICA family
 # ---------------------------------------------------------------------------
 
-def _whiten(x: np.ndarray, k: int, center: bool = False):
-    """Whiten to k dimensions via the thin SVD.
+def _whiten(factors, k: int):
+    """Whiten to k dimensions from the thin SVD ``factors`` of the data
+    (a :func:`_factors` result, samples along the columns).
 
     Returns (z, back): z is (k, n_samples) with unit second moment, and
-    back @ z reconstructs the (optionally row-centered) data in the k-dim
-    subspace.  Whitening about the origin keeps any common-mode offset
-    inside the mixing span instead of discarding it.
+    back @ z reconstructs the factored data in the k-dim subspace.
+    Whitening the raw spectra about the origin keeps any common-mode
+    offset inside the mixing span instead of discarding it.
     """
-    if center:
-        x = x - x.mean(axis=1, keepdims=True)
-    n_samples = x.shape[1]
-    u, s, vt = svd(x)
+    u, s, vt = factors
+    n_samples = vt.shape[1]
     z = np.sqrt(n_samples) * vt[:k]
     back = u[:, :k] * (s[:k] / np.sqrt(n_samples))
     return z, back
@@ -169,7 +208,7 @@ def fastica(dataset: MixtureDataset, k: int, seed: int = 0,
     The frequency axis provides the samples; unmixed sources are returned
     as the predicted component spectra.
     """
-    z, back = _whiten(dataset.spectra, k)
+    z, back = _whiten(_factors(dataset, "raw"), k)
     n = z.shape[1]
     rng = seeded_rng(seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
@@ -195,7 +234,7 @@ def fastica(dataset: MixtureDataset, k: int, seed: int = 0,
 
 def jade(dataset: MixtureDataset, k: int) -> ComponentSet:
     """Joint approximate diagonalization of fourth-order cumulant matrices."""
-    z, back = _whiten(dataset.spectra, k)
+    z, back = _whiten(_factors(dataset, "raw"), k)
     n = z.shape[1]
     eye = np.eye(k)
     cumulants = []
@@ -227,7 +266,7 @@ def sobi(dataset: MixtureDataset, k: int, lags=(1, 2, 3, 4, 5)) -> ComponentSet:
     if max(lags) >= n_spectra:
         raise ValueError(f"lags must be smaller than the spectrum count {n_spectra}")
     # channels = frequency bins, samples = spectrum index
-    z, back = _whiten(dataset.spectra.T, k, center=True)
+    z, back = _whiten(_factors(dataset, "transposed_centered"), k)
     t = z.shape[1]
     lagged = []
     for lag in lags:
@@ -261,7 +300,7 @@ def vca(dataset: MixtureDataset, k: int, seed: int = 0) -> ComponentSet:
 
     y_mean = y.mean(axis=1, keepdims=True)
     y_centered = y - y_mean
-    u_c, s_c, _ = svd(y_centered)
+    u_c, _, _ = _factors(dataset, "transposed_centered")
     x_p = u_c[:, :k].T @ y_centered
     p_y = float(np.sum(y ** 2)) / n_vecs
     p_x = float(np.sum(x_p ** 2)) / n_vecs + float(np.sum(y_mean ** 2))
@@ -282,7 +321,7 @@ def vca(dataset: MixtureDataset, k: int, seed: int = 0) -> ComponentSet:
         work = np.vstack([x, c * np.ones((1, n_vecs))])
     else:
         branch = "projective"
-        u_r, _, _ = svd(y)
+        u_r, _, _ = _factors(dataset, "transposed")
         ud = u_r[:, :k]
         x = ud.T @ y
         y_proj = ud @ x
@@ -345,9 +384,12 @@ def nnmf_preprocess(x: np.ndarray):
     return x, flipped_rows, shift
 
 
-def nndsvd_init(x: np.ndarray, k: int, variant: str, rng) -> tuple:
-    """SVD-seeded nonnegative initialization (zeros kept, averaged or jittered)."""
-    u, s, vt = svd(x)
+def nndsvd_init(x: np.ndarray, k: int, variant: str, rng, factors=None) -> tuple:
+    """SVD-seeded nonnegative initialization (zeros kept, averaged or jittered).
+
+    ``factors`` is the thin SVD of ``x`` when the caller already has it.
+    """
+    u, s, vt = svd(x) if factors is None else factors
     m, n = x.shape
     w = np.zeros((m, k))
     h = np.zeros((k, n))
@@ -429,7 +471,7 @@ def nnmf(dataset: MixtureDataset, k: int, init: str = "nndsvd", seed: int = 0,
         w = scale * np.abs(rng.standard_normal((m, k)))
         h = scale * np.abs(rng.standard_normal((k, n)))
     else:
-        w, h = nndsvd_init(x, k, init, rng)
+        w, h = nndsvd_init(x, k, init, rng, _factors(dataset, "nonnegative"))
 
     eps = np.finfo(float).tiny
     norm_x = float(np.sum(x * x))
@@ -590,7 +632,7 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
             if spectra.shape != (k, x.shape[1]):
                 raise ValueError("init_components must have shape (k, n_points)")
         else:
-            _, _, vt = svd(x)
+            _, _, vt = _factors(dataset, "nonnegative" if regression == "nnls" else "raw")
             spectra = np.abs(vt[:k])
     else:
         spectra = rng.random((k, x.shape[1]))

@@ -188,38 +188,37 @@ class JointDiagResult(NamedTuple):
     off_diagonal: list
 
 
-def _off_diag_energy(mats: np.ndarray) -> float:
-    k = mats.shape[1]
-    mask = ~np.eye(k, dtype=bool)
-    return float(np.sum(mats[:, mask] ** 2))
-
-
 def joint_diagonalize(matrices: Sequence[np.ndarray], tol: float = 1e-12,
                       max_sweeps: int = 200) -> JointDiagResult:
     """Simultaneous diagonalization of symmetric matrices by Givens sweeps.
 
     Returns an orthogonal V such that V.T @ M @ V is jointly as diagonal as
     possible.  Each pair (p, q) is rotated by the closed-form angle of
-    Cardoso & Souloumiac (SIAM J. Matrix Anal. Appl. 17(1), 1996).  The
-    pairs are visited in the parallel round-robin order of Brent & Luk
-    (SIAM J. Sci. Stat. Comput. 6(1), 1985): a sweep is k - 1 steps (k for
-    odd k) of disjoint pairs.  Rotations of disjoint pairs commute, so one
-    step takes all its angles at once and applies them as one k x k
-    orthogonal matrix J (``M <- J.T @ M @ J``, ``V <- V @ J``); this is
-    exact cyclic Jacobi in that pair order.  A pair is left alone when its
-    off-diagonal content or its rotation sine is at most ``tol`` times the
-    largest input magnitude (at least 1).  The sweeps stop after the first
-    sweep that rotates nothing (``converged``) or after ``max_sweeps``.
-    The summed squared off-diagonal energy is non-increasing across sweeps;
-    the per-sweep values are recorded in the result.
+    Cardoso & Souloumiac (SIAM J. Matrix Anal. Appl. 17(1), 1996), taken
+    in its quarter-angle form (see :func:`_jacobi_step`).  The pairs are
+    visited in the parallel round-robin order of Brent & Luk (SIAM J. Sci.
+    Stat. Comput. 6(1), 1985): a sweep is k - 1 steps (k for odd k) of
+    disjoint pairs.  Rotations of disjoint pairs commute, so one step takes
+    all its angles at once and applies them as one k x k orthogonal matrix
+    J (``M <- J.T @ M @ J``, ``V <- V @ J``); this is exact cyclic Jacobi in
+    that pair order.  The n matrices are held as one (k, n, k) stack,
+    ``a[r, i, c] = M_i[r, c]``, so that J.T @ M_i for every i is one 2-d
+    product on the (k, n k) view and the right product with J another on
+    the (k n, k) view.  A pair is left alone when its off-diagonal content
+    or its rotation sine is at most ``tol`` times the largest input
+    magnitude (at least 1).  The sweeps stop after the first sweep that
+    rotates nothing (``converged``) or after ``max_sweeps``.  The summed
+    squared off-diagonal energy is non-increasing across sweeps; the
+    per-sweep values are recorded in the result.
     """
-    mats = np.array([np.asarray(m, dtype=float) for m in matrices])
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+    a = np.stack([np.asarray(m, dtype=float) for m in matrices], axis=1)
+    if a.ndim != 3 or a.shape[0] != a.shape[2]:
         raise ValueError("joint_diagonalize expects square matrices of equal size")
-    k = mats.shape[1]
+    k = a.shape[0]
+    steps, off_rows, off_cols = _sweep(k)
     v = np.eye(k)
-    history = [_off_diag_energy(mats)]
-    scale = max(1.0, float(np.max(np.abs(mats))))
+    history = [float(np.sum(a[off_rows, :, off_cols] ** 2))]
+    scale = max(1.0, float(np.max(np.abs(a))))
     threshold = tol * scale
 
     converged = False
@@ -227,10 +226,10 @@ def joint_diagonalize(matrices: Sequence[np.ndarray], tol: float = 1e-12,
     while sweeps < max_sweeps:
         sweeps += 1
         rotated = False
-        for p, q in round_robin(k):
-            mats, v, turned = _jacobi_step(mats, v, p, q, threshold)
+        for rows, cols in steps:
+            a, v, turned = _jacobi_step(a, v, rows, cols, threshold)
             rotated |= turned
-        history.append(_off_diag_energy(mats))
+        history.append(float(np.sum(a[off_rows, :, off_cols] ** 2)))
         if not rotated:
             converged = True
             break
@@ -262,31 +261,78 @@ def round_robin(k: int) -> tuple:
     return tuple(steps)
 
 
-def _jacobi_step(mats, v, p, q, threshold):
-    """Rotate every pair (p[i], q[i]) of one round-robin step at once.
+def _pair_blocks(p, q) -> tuple:
+    """Row and column indices of the 2 x 2 blocks of the pairs (p, q): four
+    runs of one entry per pair, (p, p), (q, q), (p, q) and (q, p)."""
+    rows = np.concatenate((p, q, p, q))
+    cols = np.concatenate((p, q, q, p))
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
-    Returns the rotated matrices and V, and whether any pair was rotated.
+
+@functools.lru_cache(maxsize=None)
+def _sweep(k: int) -> tuple:
+    """Per-k constants of a sweep: the block indices of every round-robin
+    step, then the row and column indices of the off-diagonal entries."""
+    off_rows, off_cols = np.nonzero(~np.eye(k, dtype=bool))
+    off_rows.setflags(write=False)
+    off_cols.setflags(write=False)
+    return tuple(_pair_blocks(p, q) for p, q in round_robin(k)), off_rows, off_cols
+
+
+@functools.lru_cache(maxsize=None)
+def _step_constants(k: int) -> tuple:
+    """Constants of a step on k indices, whose m = k // 2 pairs give 4 m
+    gathered blocks: the sign matrix that forms g1 = pp - qq and
+    g2 = pq + qp from them (one product, exact: each entry adds one term to
+    another), the flat indices of g1.g1, g2.g2 and g1.g2 in the Gram matrix
+    of g, and the identity."""
+    m = k // 2
+    i = np.arange(m)
+    signs = np.zeros((2 * m, 4 * m))
+    signs[i, i] = signs[m + i, 2 * m + i] = signs[m + i, 3 * m + i] = 1.0
+    signs[i, m + i] = -1.0
+    sums = np.stack((i * (2 * m + 1), (m + i) * (2 * m + 1), i * 2 * m + m + i))
+    constants = signs, sums, np.eye(k)
+    for c in constants:
+        c.setflags(write=False)
+    return constants
+
+
+def _jacobi_step(a, v, rows, cols, threshold):
+    """Rotate every pair of one round-robin step at once.
+
+    ``a`` is the (k, n, k) stack and ``rows, cols`` the step's
+    :func:`_pair_blocks`.  One gather takes every pair's 2 x 2 block in every
+    matrix, and the sums over the matrices are read off one Gram matrix.
+    The angle is the Cardoso-Souloumiac angle in its quarter-angle form,
+    theta = atan2(toff, ton) / 4, equal in exact arithmetic to the
+    half-angle form atan2(toff, ton + hypot(ton, toff)) / 2 but free of its
+    cancellation near toff = 0, ton < 0 (equal diagonals), where it gives
+    the optimal pi/4 and the half-angle form 0.  J is applied as two plain
+    2-d products.  Returns the rotated stack and V, and whether any pair
+    was rotated.
     """
-    g1 = mats[:, p, p] - mats[:, q, q]                # (n_matrices, n_pairs)
-    g2 = mats[:, p, q] + mats[:, q, p]
-    g2g2 = np.einsum("ij,ij->j", g2, g2)
-    ton = np.einsum("ij,ij->j", g1, g1) - g2g2
-    toff = 2.0 * np.einsum("ij,ij->j", g1, g2)
-    theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
+    k, n, _ = a.shape
+    signs, sums, eye = _step_constants(k)
+    g = signs @ a[rows, :, cols]                  # rows: g1 per pair, g2 per pair
+    g1g1, g2g2, g1g2 = (g @ g.T).take(sums)
+    ton = g1g1 - g2g2
+    toff = 2.0 * g1g2
+    theta = 0.25 * np.arctan2(toff, ton)
     s = np.sin(theta)
     # no off-diagonal content -> the optimal angle is numerically undefined
     # and rotating would scramble V for zero gain
     turn = (np.sqrt(g2g2) > threshold) & (np.abs(s) > threshold)
     if not turn.any():
-        return mats, v, False
+        return a, v, False
     s = np.where(turn, s, 0.0)
     c = np.where(turn, np.cos(theta), 1.0)
-    j = np.eye(mats.shape[1])
-    j[p, p] = c
-    j[q, q] = c
-    j[p, q] = -s
-    j[q, p] = s
-    return j.T @ mats @ j, v @ j, True
+    j = eye.copy()
+    j[rows, cols] = np.concatenate((c, c, -s, s))
+    a = (j.T @ a.reshape(k, n * k)).reshape(k * n, k) @ j
+    return a.reshape(k, n, k), v @ j, True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from bssnmr import bench, synth
+from bssnmr import bench, bss, synth
 from bssnmr.errors import NumericalFailure
 
 
@@ -50,6 +50,21 @@ def test_run_plan_workers_agree(small_library):
     for a, b in zip(serial, parallel):
         assert bench.record_key(a) == bench.record_key(b)
         assert a["error"] == b["error"]
+
+
+def test_run_dataset_factors_each_form_once_per_normalization(small_library,
+                                                              monkeypatch):
+    plan = tiny_plan(normalizations=("none", "peak", "area"), techniques=(),
+                     k_offsets=(-1, 0, 2))
+    key = next(iter(plan.dataset_keys()))
+    calls = []
+    real = bss.svd
+    monkeypatch.setattr(bss, "svd", lambda m: calls.append(m.shape) or real(m))
+    records = bench.run_dataset(plan, small_library, key)
+    assert len(records) == 3 * 20 * 3
+    assert not any(r["failed"] for r in records)
+    # five forms (raw, centered, two transposed, nonnegative) x 3 normalizations
+    assert 0 < len(calls) <= 15
 
 
 def test_k_offset_clamped_and_flagged(small_library):

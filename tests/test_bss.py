@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -100,6 +101,72 @@ def test_decompose_does_not_mutate_input(small_library):
     for technique in ("fastica", "nnmf:nndsvd", "mcr:nnls"):
         bss.decompose(ds, technique, 3, seed=1)
     assert np.array_equal(ds.spectra, before)
+
+
+# ---------------------------------------------------------------------------
+# shared factorizations
+# ---------------------------------------------------------------------------
+
+FACTORED_TECHNIQUES = ["svd", "truncated_svd", "pca", "fastica", "jade", "sobi",
+                       "vca", *(f"nnmf:{init}" for init in bss.NNMF_INITS),
+                       "mcr:ols_als", "mcr:nnls"]
+
+
+def counting_svd(monkeypatch):
+    calls = []
+    real = bss.svd
+
+    def svd(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(bss, "svd", svd)
+    return calls
+
+
+def test_warm_factors_give_the_fresh_result(small_library):
+    pures = synth.sample_components(small_library, 4, 43)
+    ds = synth.assemble_dataset(pures, "inversion", 43, noise_factor=0.0003)
+    for technique in reversed(bss.technique_names()):
+        for k in (2, 3, 5):
+            bss.decompose(ds, technique, k, seed=5)
+    branches = set()
+    for k in (1, 4):        # vca: projective at k = 1, affine at k = 4
+        for technique in FACTORED_TECHNIQUES:
+            fresh = dataclasses.replace(ds, spectra=ds.spectra.copy())
+            fresh.spectra.setflags(write=False)
+            warm = bss.decompose(ds, technique, k, seed=7)
+            want = bss.decompose(fresh, technique, k, seed=7)
+            assert warm.components.tobytes() == want.components.tobytes(), technique
+            assert warm.coefficients.tobytes() == want.coefficients.tobytes(), technique
+            assert warm.converged == want.converged
+            branches.add(warm.meta.get("branch"))
+    assert {"projective", "affine"} <= branches
+
+
+def test_factors_memoized_per_dataset_and_form(small_library, monkeypatch):
+    pures = synth.sample_components(small_library, 3, 13)
+    ds = synth.assemble_dataset(pures, "nutation", 13, noise_factor=0.0003)
+    calls = counting_svd(monkeypatch)
+    for k in (1, 2, 3):
+        for technique in ("svd", "truncated_svd", "fastica", "jade", "mcr:ols_als"):
+            bss.decompose(ds, technique, k, seed=1)
+    assert len(calls) == 1
+    bss.decompose(ds, "pca", 2)
+    bss.decompose(dataclasses.replace(ds), "svd", 2)
+    assert len(calls) == 3
+
+
+def test_writable_spectra_factored_every_call(grid, monkeypatch):
+    spectra = np.random.default_rng(3).standard_normal((20, grid.n_points))
+    ds = synth.MixtureDataset(grid=grid, spectra=spectra)
+    calls = counting_svd(monkeypatch)
+    first = bss.decompose(ds, "svd", 2)
+    spectra *= 2.0
+    second = bss.decompose(ds, "svd", 2)
+    assert len(calls) == 2
+    assert ds not in bss._FACTORS
+    assert np.allclose(second.coefficients, 2.0 * first.coefficients)
 
 
 # ---------------------------------------------------------------------------

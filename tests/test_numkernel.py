@@ -271,7 +271,7 @@ def givens_pairwise(mats, v, pairs, threshold):
     return mats, v
 
 
-@pytest.mark.parametrize("k", [7, 8])
+@pytest.mark.parametrize("k", [7, 8, 13])
 def test_jacobi_step_equals_pairwise_givens(k):
     rng = np.random.default_rng(29 + k)
     v, _ = np.linalg.qr(rng.standard_normal((k, k)))
@@ -283,11 +283,25 @@ def test_jacobi_step_equals_pairwise_givens(k):
         mats[:, p[0], q[0]] = mats[:, q[0], p[0]] = 1e-14
         mats[:, q[0], q[0]] = mats[:, p[0], p[0]] + 1e-14
         want_mats, want_v = givens_pairwise(mats, v, zip(p, q), 1e-12)
-        mats, v, rotated = nk._jacobi_step(mats, v, p, q, 1e-12)
+        a, v, rotated = nk._jacobi_step(mats.transpose(1, 0, 2), v,
+                                        *nk._pair_blocks(p, q), 1e-12)
+        mats = a.transpose(1, 0, 2)
         assert rotated
         assert np.max(np.abs(mats - want_mats)) < 1e-12
         assert np.max(np.abs(v - want_v)) < 1e-12
         assert np.all(mats[:, p[0], q[0]] == 1e-14)
+
+
+def test_joint_diagonalize_rotates_equal_diagonal_pairs():
+    # g1 = 0 in every matrix and g2 != 0: the optimal angle is pi/4, where
+    # the half-angle form of the angle cancels to 0 and rotates nothing
+    rng = np.random.default_rng(31)
+    mats = [np.array([[a, b], [b, a]]) for a, b in rng.standard_normal((6, 2))]
+    res = nk.joint_diagonalize(mats)
+    assert res.converged
+    assert res.off_diagonal[-1] <= 1e-20 * res.off_diagonal[0]
+    assert np.allclose(np.abs(res.V), np.sqrt(0.5), rtol=0.0, atol=1e-15)
+    assert np.allclose(res.V.T @ res.V, np.eye(2), rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 intensity, with a synthetic quadrupolar-NMR dataset generator and a
 benchmark harness."""
 
-from .bench import (AggregateTable, BenchmarkPlan, CellResult, aggregate_table1,
+from .bench import (AggregateTable, BenchmarkPlan, aggregate_table1,
                     aggregate_table2, aggregate_table3, run_plan)
 from .bss import ComponentSet, TechniqueId, decompose, parse_technique, technique_names
 from .lineshape import (DEFAULT_GRID, LibraryGridSpec, PureComponent,
@@ -16,7 +16,7 @@ from .synth import (IntensitySeries, MixtureDataset, assemble_dataset,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateTable", "BenchmarkPlan", "CellResult", "ComponentSet",
+    "AggregateTable", "BenchmarkPlan", "ComponentSet",
     "DEFAULT_GRID", "IntensitySeries", "LibraryGridSpec", "MatchReport",
     "MixtureDataset", "PairFit", "PureComponent", "QuadrupolarParams",
     "SpectrumGrid", "TechniqueId", "aggregate_table1", "aggregate_table2",

@@ -2,15 +2,17 @@
 
 A plan spans models x noise levels x component-count modes x normalizations
 x techniques x k offsets.  Datasets are derived deterministically from the
-master seed and reused byte-identically across techniques and k offsets;
-technique failures are counted and excluded from error statistics.  All
-aggregation is a sorted reduction, so results are independent of worker
-count and completion order.
+master seed and reused byte-identically across techniques and k offsets.
+A technique failure stays a record, with ``failed: true`` and its
+``failure`` message, and is excluded from the tables.  All aggregation is a
+sorted reduction, so results are independent of worker count and
+completion order.
 """
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
@@ -58,23 +60,10 @@ class BenchmarkPlan:
                     for di in range(self.n_datasets_per_cell):
                         yield (mi, model, ni, float(noise), ci, mode, di)
 
-
-@dataclass(frozen=True)
-class CellKey:
-    model: str
-    noise: float
-    mode: str
-    normalization: str
-    technique: str
-    k_offset: int
-
-
-@dataclass
-class CellResult:
-    key: CellKey
-    errors: list = field(default_factory=list)    # failed runs excluded
-    failures: int = 0
-    runtimes: list = field(default_factory=list)
+    @property
+    def records_per_dataset(self) -> int:
+        return (len(self.normalizations) * len(self.techniques)
+                * len(self.k_offsets))
 
 
 @dataclass
@@ -167,7 +156,9 @@ def record_key(record: dict) -> tuple:
 
 def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
              existing_records=None, record_sink=None):
-    """Execute the plan; returns (cell results, all records).
+    """Execute the plan; returns ``(tables, records)``: every record in key
+    order, and each CSV file the CLI writes (``table1/2/3.csv``,
+    ``runtime_factors.csv``) by name, as an :class:`AggregateTable`.
 
     ``existing_records`` (from a previous interrupted run) are trusted for
     any dataset whose records are complete; incomplete datasets are rerun.
@@ -177,20 +168,11 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
     """
     if not library:
         raise ValueError("run_plan needs a nonempty component library")
-    per_dataset = (len(plan.normalizations) * len(plan.techniques)
-                   * len(plan.k_offsets))
-    done: dict = {}
-    datasets_done: dict = {}
-    for record in existing_records or []:
-        done[record_key(record)] = record
-        dkey = record_key(record)[:4]
-        datasets_done[dkey] = datasets_done.get(dkey, 0) + 1
-
-    pending = []
-    for dataset_key in plan.dataset_keys():
-        _, model, _, noise, _, mode, di = dataset_key
-        if datasets_done.get((model, noise, mode, di), 0) < per_dataset:
-            pending.append(dataset_key)
+    done = {record_key(record): record for record in existing_records or []}
+    datasets_done = Counter(key[:4] for key in done)
+    pending = [key for key in plan.dataset_keys()
+               if datasets_done[key[1], key[3], key[5], key[6]]
+               < plan.records_per_dataset]
 
     def keep(batch):
         for record in batch:
@@ -213,24 +195,13 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
             _FORK_CONTEXT.clear()
 
     records = [done[key] for key in sorted(done)]
-    return collect_cells(records), records
-
-
-def collect_cells(records) -> list:
-    """Group records into per-cell results, failures excluded from errors."""
-    cells: dict = {}
-    for record in records:
-        key = CellKey(model=record["model"], noise=record["noise"],
-                      mode=record["mode"], normalization=record["normalization"],
-                      technique=record["technique"], k_offset=record["k_offset"])
-        cell = cells.setdefault(key, CellResult(key=key))
-        if record["failed"]:
-            cell.failures += 1
-        else:
-            cell.errors.append(record["error"])
-            cell.runtimes.append(record["runtime"])
-    return [cells[key] for key in sorted(cells, key=lambda c: (
-        c.model, c.noise, c.mode, c.normalization, c.technique, c.k_offset))]
+    tables = {
+        "table1.csv": aggregate_table1(records),
+        "table2.csv": aggregate_table2(records),
+        "table3.csv": aggregate_table3(records),
+        "runtime_factors.csv": aggregate_runtimes(records),
+    }
+    return tables, records
 
 
 # ---------------------------------------------------------------------------

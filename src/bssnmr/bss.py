@@ -13,6 +13,7 @@ Technique identifiers are stable strings such as ``svd``, ``fastica``,
 import time
 import weakref
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -82,8 +83,7 @@ class ComponentSet:
 
     components: np.ndarray = field(repr=False)     # (k, n_points)
     coefficients: np.ndarray = field(repr=False)   # (n_spectra, k)
-    technique: TechniqueId
-    k_requested: int
+    technique: Optional[TechniqueId] = None        # named by decompose
     converged: bool = True
     runtime_seconds: float = 0.0
     meta: dict = field(default_factory=dict)
@@ -110,7 +110,6 @@ def decompose(dataset: MixtureDataset, technique, k: int, seed: int = 0) -> Comp
     start = time.perf_counter()
     result = TECHNIQUES[technique.name](dataset, k, seed)
     result.technique = technique
-    result.k_requested = k
     result.runtime_seconds = time.perf_counter() - start
     return result
 
@@ -140,15 +139,12 @@ def _factors(dataset: MixtureDataset, form: str):
     mcr:nnls).  Each is formed by the expression its techniques used on
     their own, so the factors are bit-identical to an unshared call.  They
     are kept per dataset object, dropped with it, and shared read-only by
-    every technique and k; spectra that are still writable could change
-    under the cache, so they are factored afresh on every call.
+    every technique and k.  A dataset's spectra are read-only (see
+    :class:`~bssnmr.synth.MixtureDataset`), so the cache cannot go stale.
     """
-    x = dataset.spectra
-    if x.flags.writeable:
-        return svd(_FORMS[form](x))
     cached = _FACTORS.setdefault(dataset, {})
     if form not in cached:
-        factors = svd(_FORMS[form](x))
+        factors = svd(_FORMS[form](dataset.spectra))
         for a in factors:
             a.setflags(write=False)
         cached[form] = factors
@@ -170,9 +166,7 @@ def svd_like(dataset: MixtureDataset, k: int, centered: bool = False) -> Compone
     comps = vt[:k].copy()
     coeff = u[:, :k] * s[:k]
     meta = {"singular_values": s.tolist(), "centered": centered}
-    return ComponentSet(components=comps, coefficients=coeff,
-                        technique=TechniqueId("pca" if centered else "svd"),
-                        k_requested=k, converged=True, meta=meta)
+    return ComponentSet(components=comps, coefficients=coeff, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +222,6 @@ def fastica(dataset: MixtureDataset, k: int, seed: int = 0,
     coeff = back @ w.T
     meta = {"iterations": iterations}
     return ComponentSet(components=comps, coefficients=coeff,
-                        technique=TechniqueId("fastica"), k_requested=k,
                         converged=converged, meta=meta)
 
 
@@ -251,7 +244,6 @@ def jade(dataset: MixtureDataset, k: int) -> ComponentSet:
     coeff = back @ jd.V
     meta = {"sweeps": jd.sweeps, "off_diagonal": jd.off_diagonal[-1]}
     return ComponentSet(components=comps, coefficients=coeff,
-                        technique=TechniqueId("jade"), k_requested=k,
                         converged=jd.converged, meta=meta)
 
 
@@ -278,7 +270,6 @@ def sobi(dataset: MixtureDataset, k: int, lags=(1, 2, 3, 4, 5)) -> ComponentSet:
     coeff = profiles.T                        # (n_spectra, k)
     meta = {"lags": list(lags), "sweeps": jd.sweeps}
     return ComponentSet(components=comps, coefficients=coeff,
-                        technique=TechniqueId("sobi"), k_requested=k,
                         converged=jd.converged, meta=meta)
 
 
@@ -352,9 +343,7 @@ def vca(dataset: MixtureDataset, k: int, seed: int = 0) -> ComponentSet:
     comps = y_proj[:, indices].T
     coeff, *_ = np.linalg.lstsq(comps.T, dataset.spectra.T, rcond=None)
     meta = {"snr_db": float(snr_db), "branch": branch, "vertex_rows": indices}
-    return ComponentSet(components=comps, coefficients=coeff.T,
-                        technique=TechniqueId("vca"), k_requested=k,
-                        converged=True, meta=meta)
+    return ComponentSet(components=comps, coefficients=coeff.T, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +373,12 @@ def nnmf_preprocess(x: np.ndarray):
     return x, flipped_rows, shift
 
 
-def nndsvd_init(x: np.ndarray, k: int, variant: str, rng, factors=None) -> tuple:
+def nndsvd_init(x: np.ndarray, k: int, variant: str, rng, factors) -> tuple:
     """SVD-seeded nonnegative initialization (zeros kept, averaged or jittered).
 
-    ``factors`` is the thin SVD of ``x`` when the caller already has it.
+    ``factors`` is the thin SVD ``(u, s, vt)`` of ``x``.
     """
-    u, s, vt = svd(x) if factors is None else factors
+    u, s, vt = factors
     m, n = x.shape
     w = np.zeros((m, k))
     h = np.zeros((k, n))
@@ -497,7 +486,6 @@ def nnmf(dataset: MixtureDataset, k: int, init: str = "nndsvd", seed: int = 0,
     meta = {"init": init, "flipped_rows": flipped_rows.tolist(),
             "offset": shift, "objective_history": history}
     return ComponentSet(components=h, coefficients=np.ascontiguousarray(wt.T),
-                        technique=TechniqueId("nnmf", init), k_requested=k,
                         converged=converged, meta=meta)
 
 
@@ -562,9 +550,7 @@ def simplisma(dataset: MixtureDataset, k: int, offset_percent: float) -> Compone
     profiles = d[:, selected]                 # (n_spectra, k) concentrations
     comps, *_ = np.linalg.lstsq(profiles, d, rcond=None)
     meta = {"offset_percent": offset_percent, "pure_variables": selected}
-    return ComponentSet(components=comps, coefficients=profiles,
-                        technique=TechniqueId("simplisma", f"offset{offset_percent:g}"),
-                        k_requested=k, converged=True, meta=meta)
+    return ComponentSet(components=comps, coefficients=profiles, meta=meta)
 
 
 def _sanitize(values: np.ndarray) -> np.ndarray:
@@ -657,7 +643,5 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
             break
 
     meta["residual_history"] = history
-    variant = regression if init == "provided" else f"{regression}:random"
     return ComponentSet(components=spectra, coefficients=conc,
-                        technique=TechniqueId("mcr", variant), k_requested=k,
                         converged=converged, meta=meta)

@@ -236,29 +236,21 @@ def cmd_bench(plan_path, library_path, out_dir, workers, resume):
     records_path = out / "records.jsonl"
     existing = []
     if resume and records_path.exists():
-        per_dataset = (len(plan.normalizations) * len(plan.techniques)
-                       * len(plan.k_offsets))
-        existing = _resume_records(records_path, per_dataset)
+        existing = _resume_records(records_path, plan.records_per_dataset)
     mode = "a" if existing else "w"
     with open(records_path, mode, encoding="utf-8", newline="\n") as handle:
         def sink(record):
             handle.write(json.dumps(record) + "\n")
             handle.flush()
 
-        cells, records = bench_mod.run_plan(plan, library, workers=workers,
-                                            existing_records=existing,
-                                            record_sink=sink)
+        tables, records = bench_mod.run_plan(plan, library, workers=workers,
+                                             existing_records=existing,
+                                             record_sink=sink)
 
-    tables = {
-        "table1.csv": bench_mod.aggregate_table1(records),
-        "table2.csv": bench_mod.aggregate_table2(records),
-        "table3.csv": bench_mod.aggregate_table3(records),
-        "runtime_factors.csv": bench_mod.aggregate_runtimes(records),
-    }
     for name, table in tables.items():
         with open(out / name, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(table.to_csv())
-    click.echo(f"{len(records)} records, {len(cells)} cells -> {out_dir}")
+    click.echo(f"{len(records)} records -> {out_dir}")
 
 
 def main(argv=None) -> int:

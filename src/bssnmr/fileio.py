@@ -11,11 +11,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bss import ComponentSet, TechniqueId
+from .bss import ComponentSet, parse_technique
 from .errors import DataFormatError
 from .lineshape import (LibraryGridSpec, PureComponent, QuadrupolarParams,
                         SpectrumGrid, library_checksum)
-from .scoring import MatchReport, PairFit
+from .scoring import MatchReport
 from .synth import IntensitySeries, MixtureDataset
 
 FORMAT_VERSION = 1
@@ -223,7 +223,6 @@ def read_dataset(path) -> MixtureDataset:
     if len(lengths) != 1 or lengths.pop() != grid.n_points:
         raise DataFormatError("spectra: rows must all have length n_points")
     spectra = np.stack(rows)
-    spectra.setflags(write=False)
 
     components = None
     seed = None
@@ -248,7 +247,7 @@ def write_component_set(path, result: ComponentSet, grid: Optional[SpectrumGrid]
         "format_version": FORMAT_VERSION,
         "kind": "component_set",
         "technique": result.technique.name,
-        "k_requested": result.k_requested,
+        "k_requested": result.k,
         "converged": result.converged,
         "runtime_seconds": result.runtime_seconds,
         "grid": grid_to_json(grid) if grid else None,
@@ -266,11 +265,12 @@ def read_component_set(path) -> ComponentSet:
                       for i, t in enumerate(_require(payload, "components", list))])
     coeff = np.stack([decode_array(t, f"coefficients[{i}]")
                       for i, t in enumerate(_require(payload, "coefficients", list))])
-    family, _, variant = _require(payload, "technique", str).partition(":")
+    k = _require(payload, "k_requested", int)
+    if k != comps.shape[0]:
+        raise DataFormatError(f"k_requested {k} != {comps.shape[0]} component rows")
     return ComponentSet(
         components=comps, coefficients=coeff,
-        technique=TechniqueId(family, variant),
-        k_requested=int(_require(payload, "k_requested")),
+        technique=parse_technique(_require(payload, "technique", str)),
         converged=bool(_require(payload, "converged")),
         runtime_seconds=float(payload.get("runtime_seconds", 0.0)),
         meta=payload.get("meta") or {})
@@ -292,21 +292,6 @@ def write_match_report(path, report: MatchReport):
     payload = {"format_version": FORMAT_VERSION, "kind": "match_report"}
     payload.update(match_report_to_json(report))
     write_json(path, payload)
-
-
-def read_match_report(path) -> MatchReport:
-    payload = read_json(path)
-    _check_version(payload, "match_report")
-    report = MatchReport()
-    for entry in _require(payload, "pairs", list):
-        report.pairs.append((int(entry["predicted"]), int(entry["pure"]),
-                             PairFit(B=float(entry["B"]), M=float(entry["M"]),
-                                     lack_of_fit=float(entry["lack_of_fit"]))))
-    report.ensemble_score = float(_require(payload, "ensemble_score"))
-    report.discarded_predicted = list(payload.get("discarded_predicted", []))
-    report.unmatched_pure = list(payload.get("unmatched_pure", []))
-    report.dataset_error = float(_require(payload, "dataset_error"))
-    return report
 
 
 def _json_safe(value):

@@ -50,6 +50,8 @@ class MixtureDataset:
     """20 x n_points signed spectra plus full synthesis provenance.
 
     ``components`` is None for externally supplied data with no provenance.
+    Construction makes the ``spectra`` array read-only, so the dataset, and
+    every factorization cached for it, stays fixed.
     """
 
     grid: SpectrumGrid
@@ -62,6 +64,7 @@ class MixtureDataset:
     def __post_init__(self):
         if self.spectra.ndim != 2 or self.spectra.shape[1] != self.grid.n_points:
             raise ValueError("spectra must be a (rows, n_points) matrix")
+        self.spectra.setflags(write=False)
         if self.normalization not in NORMALIZATION_MODES:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.components is not None:
@@ -190,7 +193,6 @@ def assemble_dataset(pures: Sequence[PureComponent], model: str, rng_seed: int,
     spectra = weights @ pure_matrix
     if noise_factor > 0:
         spectra = spectra + rng.normal(0.0, noise_factor, size=spectra.shape)
-    spectra.setflags(write=False)
     seed = int(rng_seed) if isinstance(rng_seed, (int, np.integer)) else None
     return MixtureDataset(grid=grid, spectra=spectra, components=tuple(series),
                           noise_factor=noise_factor, seed=seed,
@@ -211,6 +213,5 @@ def normalize(dataset: MixtureDataset, mode: str) -> MixtureDataset:
     if zero.size:
         raise DegenerateRowError(
             f"row {int(zero[0])} is identically zero; cannot normalize by {mode}")
-    spectra = dataset.spectra / scale[:, None]
-    spectra.setflags(write=False)
-    return replace(dataset, spectra=spectra, normalization=mode)
+    return replace(dataset, spectra=dataset.spectra / scale[:, None],
+                   normalization=mode)

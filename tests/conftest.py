@@ -45,7 +45,6 @@ def rank1_dataset(grid, small_library):
     pure = small_library[37]
     weights = synth.inversion_profile(1.0, 1.0, synth.recovery_times(1.0))
     spectra = np.outer(weights, pure.intensity)
-    spectra.setflags(write=False)
     return synth.MixtureDataset(grid=grid, spectra=spectra), pure
 
 

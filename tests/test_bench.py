@@ -169,13 +169,6 @@ def test_aggregate_single_dataset_degenerate():
     assert mean == low == high == 1.0 and n == 1
 
 
-def test_failure_accounting_in_cells():
-    cells = bench.collect_cells(synthetic_records())
-    assert len(cells) == 1
-    assert cells[0].failures == 1
-    assert len(cells[0].errors) == 3
-
-
 def test_cell_isolation():
     records = synthetic_records()
     extra = dict(records[0], technique="pca")
@@ -242,9 +235,11 @@ def test_csv_output_stable():
 
 def test_single_cell_plan_shape(small_library):
     plan = tiny_plan()
-    cells, records = bench.run_plan(plan, small_library)
-    assert len(cells) == 2  # one cell per technique
-    for cell in cells:
-        assert len(cell.errors) == 2  # one error entry per dataset
-        assert cell.failures == 0
-    assert len(records) == 4
+    tables, records = bench.run_plan(plan, small_library)
+    assert len(records) == 2 * plan.records_per_dataset == 4
+    assert list(tables) == ["table1.csv", "table2.csv", "table3.csv",
+                            "runtime_factors.csv"]
+    table1 = tables["table1.csv"]
+    assert [row[0] for row in table1.rows] == ["nnmf:nndsvd", "svd"]
+    assert all(row[-1] == 2 for row in table1.rows)  # one entry per dataset
+    assert table1.to_csv() == bench.aggregate_table1(records).to_csv()

@@ -5,6 +5,7 @@ import pytest
 
 from bssnmr import bench, fileio, synth
 from bssnmr.cli import main
+from bssnmr.errors import DataFormatError
 
 TINY_SPEC = {
     "cq_values_hz": [0.0, 2e6],
@@ -151,17 +152,17 @@ def test_score_perfect_prediction(tmp_path, one_dataset):
     from bssnmr.bss import ComponentSet, TechniqueId
     fake = ComponentSet(
         components=np.stack([p.intensity for p in pures]),
-        coefficients=np.zeros((20, 3)),
-        technique=TechniqueId("svd"), k_requested=3)
+        coefficients=np.zeros((20, 3)), technique=TechniqueId("svd"))
     cs_path = tmp_path / "perfect.json"
     fileio.write_component_set(cs_path, fake, grid)
     report_path = tmp_path / "report.json"
     svg_dir = tmp_path / "svgs"
     assert main(["score", "--predicted", str(cs_path), "--pure", str(pures_path),
                  "--out", str(report_path), "--svg-dir", str(svg_dir)]) == 0
-    report = fileio.read_match_report(report_path)
-    assert len(report.pairs) == 3
-    assert report.dataset_error < 1e-20
+    report = fileio.read_json(report_path)
+    assert report["kind"] == "match_report"
+    assert len(report["pairs"]) == 3
+    assert report["dataset_error"] < 1e-20
     svgs = sorted(svg_dir.glob("*.svg"))
     assert len(svgs) == 3
     assert svgs[0].read_text().startswith("<svg")
@@ -174,9 +175,9 @@ def test_score_discards_excess_predictions(tmp_path, one_dataset):
     assert main(["score", "--predicted", str(tmp_path / "cs.json"),
                  "--pure", str(pures_path),
                  "--out", str(tmp_path / "report.json")]) == 0
-    report = fileio.read_match_report(tmp_path / "report.json")
-    assert len(report.pairs) == 3
-    assert len(report.discarded_predicted) == 2
+    report = fileio.read_json(tmp_path / "report.json")
+    assert len(report["pairs"]) == 3
+    assert len(report["discarded_predicted"]) == 2
 
 
 def test_score_mismatched_lengths(tmp_path, one_dataset):
@@ -184,7 +185,7 @@ def test_score_mismatched_lengths(tmp_path, one_dataset):
     from bssnmr.bss import ComponentSet, TechniqueId
     fake = ComponentSet(components=np.ones((2, 100)),
                         coefficients=np.zeros((20, 2)),
-                        technique=TechniqueId("svd"), k_requested=2)
+                        technique=TechniqueId("svd"))
     cs_path = tmp_path / "short.json"
     fileio.write_component_set(cs_path, fake)
     code = main(["score", "--predicted", str(cs_path), "--pure", str(pures_path),
@@ -317,6 +318,21 @@ def test_component_set_round_trip(tmp_path, one_dataset):
     assert a.converged == loaded.converged
 
 
+def test_component_set_with_wrong_k_refused(tmp_path, one_dataset):
+    dataset_path, pures_path = one_dataset
+    out = tmp_path / "cs.json"
+    assert main(["decompose", "--in", str(dataset_path), "--technique", "svd",
+                 "--k", "2", "--out", str(out)]) == 0
+    payload = fileio.read_json(out)
+    assert payload["k_requested"] == 2
+    payload["k_requested"] = 3
+    fileio.write_json(out, payload)
+    with pytest.raises(DataFormatError, match="k_requested"):
+        fileio.read_component_set(out)
+    assert main(["score", "--predicted", str(out), "--pure", str(pures_path),
+                 "--out", str(tmp_path / "r.json")]) == 3
+
+
 def test_match_report_round_trip(tmp_path):
     from bssnmr.scoring import MatchReport, PairFit
     report = MatchReport(
@@ -326,9 +342,12 @@ def test_match_report_round_trip(tmp_path):
         unmatched_pure=[2], dataset_error=0.125)
     path = tmp_path / "report.json"
     fileio.write_match_report(path, report)
-    loaded = fileio.read_match_report(path)
-    assert loaded.pairs == report.pairs
-    assert loaded.ensemble_score == report.ensemble_score
-    assert loaded.discarded_predicted == [1]
-    assert loaded.unmatched_pure == [2]
-    assert loaded.dataset_error == report.dataset_error
+    loaded = fileio.read_json(path)
+    assert (loaded["format_version"], loaded["kind"]) == (1, "match_report")
+    assert loaded["pairs"] == [
+        {"predicted": 0, "pure": 1, "B": 0.25, "M": -3.5, "lack_of_fit": 1.25e-7},
+        {"predicted": 2, "pure": 0, "B": -1.0, "M": 2.0, "lack_of_fit": 0.5}]
+    assert loaded["ensemble_score"] == report.ensemble_score
+    assert loaded["discarded_predicted"] == [1]
+    assert loaded["unmatched_pure"] == [2]
+    assert loaded["dataset_error"] == report.dataset_error

@@ -196,7 +196,6 @@ def test_normalize_area_preserves_shape(small_library):
 
 def test_normalize_degenerate_row(grid):
     spectra = np.vstack([np.zeros(grid.n_points), np.ones(grid.n_points)])
-    spectra.setflags(write=False)
     ds = synth.MixtureDataset(grid=grid, spectra=spectra)
     with pytest.raises(DegenerateRowError, match="row 0"):
         synth.normalize(ds, "peak")

@@ -159,6 +159,7 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
     """Execute the plan; returns ``(tables, records)``: every record in key
     order, and each CSV file the CLI writes (``table1/2/3.csv``,
     ``runtime_factors.csv``) by name, as an :class:`AggregateTable`.
+    ``tables`` is empty when no exact-k record succeeded.
 
     ``existing_records`` (from a previous interrupted run) are trusted for
     any dataset whose records are complete; incomplete datasets are rerun.
@@ -195,6 +196,8 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
             _FORK_CONTEXT.clear()
 
     records = [done[key] for key in sorted(done)]
+    if not any(r["k_offset"] == 0 and not r["failed"] for r in records):
+        return {}, records
     tables = {
         "table1.csv": aggregate_table1(records),
         "table2.csv": aggregate_table2(records),

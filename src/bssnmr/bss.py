@@ -139,8 +139,8 @@ def _factors(dataset: MixtureDataset, form: str):
     mcr:nnls).  Each is formed by the expression its techniques used on
     their own, so the factors are bit-identical to an unshared call.  They
     are kept per dataset object, dropped with it, and shared read-only by
-    every technique and k.  A dataset's spectra are read-only (see
-    :class:`~bssnmr.synth.MixtureDataset`), so the cache cannot go stale.
+    every technique and k.  A dataset holds a read-only copy of its spectra
+    (see :class:`~bssnmr.synth.MixtureDataset`), so the cache cannot go stale.
     """
     cached = _FACTORS.setdefault(dataset, {})
     if form not in cached:

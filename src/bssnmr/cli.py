@@ -247,6 +247,8 @@ def cmd_bench(plan_path, library_path, out_dir, workers, resume):
                                              existing_records=existing,
                                              record_sink=sink)
 
+    if not tables:
+        raise ValueError("no successful exact-k records to aggregate")
     for name, table in tables.items():
         with open(out / name, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(table.to_csv())

@@ -50,7 +50,7 @@ class MixtureDataset:
     """20 x n_points signed spectra plus full synthesis provenance.
 
     ``components`` is None for externally supplied data with no provenance.
-    Construction makes the ``spectra`` array read-only, so the dataset, and
+    Construction keeps a read-only copy of ``spectra``, so the dataset, and
     every factorization cached for it, stays fixed.
     """
 
@@ -62,9 +62,10 @@ class MixtureDataset:
     normalization: str = "none"
 
     def __post_init__(self):
+        object.__setattr__(self, "spectra", np.array(self.spectra, dtype=float))
+        self.spectra.setflags(write=False)
         if self.spectra.ndim != 2 or self.spectra.shape[1] != self.grid.n_points:
             raise ValueError("spectra must be a (rows, n_points) matrix")
-        self.spectra.setflags(write=False)
         if self.normalization not in NORMALIZATION_MODES:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.components is not None:

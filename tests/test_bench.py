@@ -198,6 +198,23 @@ def test_numerical_failure_is_one_failed_record(small_library, monkeypatch):
     assert "iteration cap" in failed[0]["failure"]
 
 
+def test_run_plan_keeps_records_when_every_exact_k_fails(small_library,
+                                                        monkeypatch):
+    real = bench.decompose
+
+    def fails_at_true_k(dataset, technique, k, seed=0):
+        if k == len(dataset.components):
+            raise NumericalFailure("nnls iteration cap of 12 exceeded")
+        return real(dataset, technique, k, seed=seed)
+
+    monkeypatch.setattr(bench, "decompose", fails_at_true_k)
+    plan = tiny_plan(n_datasets_per_cell=1, k_offsets=(0, 1))
+    tables, records = bench.run_plan(plan, small_library)
+    assert tables == {}
+    assert len(records) == 4
+    assert [r["failed"] for r in records] == [r["k_offset"] == 0 for r in records]
+
+
 def test_runtime_factor_modal_decade():
     assert bench.runtime_factor([0.3, 0.31, 0.29, 4.0]) == -1
     assert bench.runtime_factor([0.002, 0.0021, 1.5]) == -3

@@ -154,14 +154,20 @@ def test_factors_memoized_per_dataset_and_form(small_library, monkeypatch):
     assert len(calls) == 3
 
 
-def test_dataset_spectra_read_only_after_construction(grid):
-    spectra = np.random.default_rng(3).standard_normal((20, grid.n_points))
-    ds = synth.MixtureDataset(grid=grid, spectra=spectra)
+def test_dataset_spectra_fixed_after_construction(grid):
+    base = np.random.default_rng(3).standard_normal((30, grid.n_points))
+    ds = synth.MixtureDataset(grid=grid, spectra=base[:20])
     first = bss.decompose(ds, "svd", 2)
+    base *= 2.0
+    assert base.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        spectra *= 2.0
-    assert np.array_equal(bss.decompose(ds, "svd", 2).coefficients,
-                          first.coefficients)
+        ds.spectra[0, 0] = 0.0
+    assert np.array_equal(ds.spectra, base[:20] / 2.0)
+    fresh = bss.decompose(synth.MixtureDataset(grid=grid, spectra=ds.spectra),
+                          "svd", 2)
+    again = bss.decompose(ds, "svd", 2)
+    assert np.array_equal(again.coefficients, first.coefficients)
+    assert np.array_equal(again.coefficients, fresh.coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from bssnmr import bench, fileio, synth
 from bssnmr.cli import main
-from bssnmr.errors import DataFormatError
+from bssnmr.errors import DataFormatError, NumericalFailure
 
 TINY_SPEC = {
     "cq_values_hz": [0.0, 2e6],
@@ -258,6 +258,22 @@ def test_bench_resume_after_truncated_tail(tmp_path, tiny_library):
         assert len(keys) == len(set(keys)) == len(lines)
         for name in ("table1.csv", "table2.csv", "table3.csv"):
             assert (full / name).read_bytes() == (resumed / name).read_bytes()
+
+
+def test_bench_without_exact_k_results_is_a_data_error(tmp_path, tiny_library,
+                                                       monkeypatch, capsys):
+    def fails(dataset, technique, k, seed=0):
+        raise NumericalFailure("nnls iteration cap of 12 exceeded")
+
+    monkeypatch.setattr(bench, "decompose", fails)
+    out = tmp_path / "bench"
+    assert main(["bench", "--plan", str(bench_plan_file(tmp_path)), "--library",
+                 str(tiny_library), "--out", str(out), "--workers", "1"]) == 3
+    assert "no successful exact-k records" in capsys.readouterr().err
+    records = [json.loads(line) for line in
+               (out / "records.jsonl").read_text().splitlines()]
+    assert records and all(r["failed"] for r in records)
+    assert not (out / "table1.csv").exists()
 
 
 def test_bench_rejects_bad_plan(tmp_path, tiny_library):

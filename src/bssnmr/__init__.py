@@ -4,10 +4,10 @@ benchmark harness."""
 
 from .bench import (AggregateTable, BenchmarkPlan, aggregate_table1,
                     aggregate_table2, aggregate_table3, run_plan)
-from .bss import ComponentSet, TechniqueId, decompose, parse_technique, technique_names
+from .bss import ComponentSet, TechniqueId, decompose, parse_technique
 from .lineshape import (DEFAULT_GRID, LibraryGridSpec, PureComponent,
-                        QuadrupolarParams, SpectrumGrid, gaussian_broaden,
-                        generate_library, simulate_pure)
+                        QuadrupolarParams, SpectrumGrid, generate_library,
+                        simulate_pure)
 from .scoring import MatchReport, PairFit, best_assignment, dataset_error, fit_pair
 from .synth import (IntensitySeries, MixtureDataset, assemble_dataset,
                     inversion_profile, normalize, nutation_profile,
@@ -21,7 +21,7 @@ __all__ = [
     "MixtureDataset", "PairFit", "PureComponent", "QuadrupolarParams",
     "SpectrumGrid", "TechniqueId", "aggregate_table1", "aggregate_table2",
     "aggregate_table3", "assemble_dataset", "best_assignment", "dataset_error",
-    "decompose", "fit_pair", "gaussian_broaden", "generate_library",
-    "inversion_profile", "normalize", "nutation_profile", "parse_technique",
-    "run_plan", "sample_components", "simulate_pure", "technique_names",
+    "decompose", "fit_pair", "generate_library", "inversion_profile",
+    "normalize", "nutation_profile", "parse_technique", "run_plan",
+    "sample_components", "simulate_pure",
 ]

@@ -6,23 +6,24 @@ master seed and reused byte-identically across techniques and k offsets.
 A technique failure stays a record, with ``failed: true`` and its
 ``failure`` message, and is excluded from the tables.  All aggregation is a
 sorted reduction, so results are independent of worker count and
-completion order.
+completion order.  The four tables are always made, if need be without rows.
 """
 
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import get_context
 
 import numpy as np
 
-from .bss import decompose, technique_names
+from .bss import TECHNIQUES, decompose, parse_technique
 from .errors import NumericalFailure, TechniqueFailure, UndefinedStatistic
 from .numkernel import derive_rng
 from .scoring import best_assignment, overprediction_ratio
-from .synth import (MAX_COMPONENTS, MIN_COMPONENTS, NOISE_LEVELS,
-                    assemble_dataset, normalize, sample_components)
+from .synth import (MAX_COMPONENTS, MIN_COMPONENTS, MODELS, NOISE_LEVELS,
+                    NORMALIZATION_MODES, assemble_dataset, normalize,
+                    sample_components)
 
 COMPONENT_COUNT_MODES = ("fixed4", "fixed6", "random2to10")
 
@@ -33,25 +34,41 @@ _TECHNIQUE_STREAM = 2
 
 @dataclass(frozen=True)
 class BenchmarkPlan:
+    """The experiment grid; construction refuses any bad value, so a bad plan
+    never runs.  An empty ``techniques`` means the full roster."""
+
     master_seed: int = 0
     n_datasets_per_cell: int = 20
-    models: tuple = ("inversion", "nutation")
+    models: tuple = MODELS
     noise_levels: tuple = NOISE_LEVELS
-    component_count_modes: tuple = ("fixed4", "fixed6", "random2to10")
-    normalizations: tuple = ("none", "peak", "area")
+    component_count_modes: tuple = COMPONENT_COUNT_MODES
+    normalizations: tuple = NORMALIZATION_MODES
     techniques: tuple = ()
     k_offsets: tuple = (-2, -1, 0, 1, 2, 3, 4)
 
     def __post_init__(self):
-        if self.n_datasets_per_cell < 1:
-            raise ValueError("n_datasets_per_cell must be at least 1")
+        if not self.techniques:
+            object.__setattr__(self, "techniques", tuple(TECHNIQUES))
+        if not isinstance(self.n_datasets_per_cell, int) or self.n_datasets_per_cell < 1:
+            raise ValueError("n_datasets_per_cell must be an int of at least 1")
         if 0 not in self.k_offsets:
             raise ValueError("k_offsets must contain 0")
-        for mode in self.component_count_modes:
-            if mode not in COMPONENT_COUNT_MODES:
-                raise ValueError(f"unknown component count mode {mode!r}")
-        if not self.techniques:
-            object.__setattr__(self, "techniques", technique_names())
+        vocab = {"models": MODELS, "component_count_modes": COMPONENT_COUNT_MODES,
+                 "normalizations": NORMALIZATION_MODES}
+        for axis, legal in vocab.items():
+            for value in getattr(self, axis):
+                if value not in legal:
+                    raise ValueError(f"unknown {axis} value {value!r}")
+        for technique in self.techniques:
+            parse_technique(technique)
+        if not all(math.isfinite(n) and n >= 0 for n in self.noise_levels):
+            raise ValueError(f"noise_levels must be finite and >= 0: {self.noise_levels}")
+        if not all(isinstance(offset, int) for offset in self.k_offsets):
+            raise ValueError(f"k_offsets must be ints: {self.k_offsets}")
+        for axis in fields(self)[2:]:          # the tuple-valued axes
+            values = getattr(self, axis.name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{axis.name} repeats a value: {values}")
 
     def dataset_keys(self):
         for mi, model in enumerate(self.models):
@@ -82,10 +99,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def technique_family(name: str) -> str:
-    return name.split(":", 1)[0]
 
 
 def build_dataset(plan: BenchmarkPlan, library, dataset_key):
@@ -158,8 +171,8 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
              existing_records=None, record_sink=None):
     """Execute the plan; returns ``(tables, records)``: every record in key
     order, and each CSV file the CLI writes (``table1/2/3.csv``,
-    ``runtime_factors.csv``) by name, as an :class:`AggregateTable`.
-    ``tables`` is empty when no exact-k record succeeded.
+    ``runtime_factors.csv``) by name, as an :class:`AggregateTable`.  All
+    four are always returned; table1 has no rows if no exact-k record succeeded.
 
     ``existing_records`` (from a previous interrupted run) are trusted for
     any dataset whose records are complete; incomplete datasets are rerun.
@@ -196,8 +209,6 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
             _FORK_CONTEXT.clear()
 
     records = [done[key] for key in sorted(done)]
-    if not any(r["k_offset"] == 0 and not r["failed"] for r in records):
-        return {}, records
     tables = {
         "table1.csv": aggregate_table1(records),
         "table2.csv": aggregate_table2(records),
@@ -211,29 +222,28 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
 # aggregation
 # ---------------------------------------------------------------------------
 
+def _grouped(records, key, where, value="error") -> dict:
+    """``record[value]`` of each successful record passing ``where``, by key."""
+    groups: dict = {}
+    for record in records:
+        if not record["failed"] and where(record):
+            groups.setdefault(key(record), []).append(record[value])
+    return groups
+
+
 def runtime_factor(runtimes) -> int:
     """Integer magnitude of the most frequent runtime decade."""
-    runtimes = [max(float(t), 1e-9) for t in runtimes]
-    if not runtimes:
+    counts = Counter(math.floor(math.log10(max(float(t), 1e-9)))
+                     for t in runtimes)
+    if not counts:
         raise ValueError("runtime_factor needs at least one runtime")
-    buckets = sorted(math.floor(math.log10(t)) for t in runtimes)
-    counts: dict = {}
-    for b in buckets:
-        counts[b] = counts.get(b, 0) + 1
-    best = max(counts.values())
-    return min(b for b, c in counts.items() if c == best)
+    return max(sorted(counts), key=counts.__getitem__)   # a tie: the smaller
 
 
 def aggregate_table1(records) -> AggregateTable:
     """Mean (min, max) dataset error per technique x normalization, exact k."""
-    groups: dict = {}
-    for record in records:
-        if record["k_offset"] != 0 or record["failed"]:
-            continue
-        groups.setdefault((record["technique"], record["normalization"]),
-                          []).append(record["error"])
-    if not groups:
-        raise ValueError("no successful exact-k records to aggregate")
+    groups = _grouped(records, lambda r: (r["technique"], r["normalization"]),
+                      lambda r: r["k_offset"] == 0)
     rows = []
     for (technique, norm) in sorted(groups):
         errors = groups[(technique, norm)]
@@ -247,11 +257,8 @@ def aggregate_table1(records) -> AggregateTable:
 
 def aggregate_runtimes(records) -> AggregateTable:
     """Runtime factor per technique (reported separately: wall-clock data)."""
-    groups: dict = {}
-    for record in records:
-        if record["failed"]:
-            continue
-        groups.setdefault(record["technique"], []).append(record["runtime"])
+    groups = _grouped(records, lambda r: r["technique"], lambda r: True,
+                      value="runtime")
     rows = [(tech, runtime_factor(groups[tech])) for tech in sorted(groups)]
     return AggregateTable(columns=["technique", "runtime_factor"], rows=rows)
 
@@ -259,12 +266,9 @@ def aggregate_runtimes(records) -> AggregateTable:
 def aggregate_table2(records) -> AggregateTable:
     """Error ratio vs exact-k per technique family and positive k offset."""
     offsets = sorted({r["k_offset"] for r in records if r["k_offset"] > 0})
-    groups: dict = {}
-    for record in records:
-        if record["failed"] or record["k_offset"] < 0:
-            continue
-        groups.setdefault((technique_family(record["technique"]),
-                           record["k_offset"]), []).append(record["error"])
+    groups = _grouped(records, lambda r: (parse_technique(r["technique"]).family,
+                                          r["k_offset"]),
+                      lambda r: r["k_offset"] >= 0)
     families = sorted({fam for fam, _ in groups})
     rows = []
     for family in families:
@@ -286,13 +290,9 @@ def aggregate_table2(records) -> AggregateTable:
 def aggregate_table3(records) -> AggregateTable:
     """Mean error per technique family at each noise level (raw data only)."""
     noises = sorted({r["noise"] for r in records})
-    groups: dict = {}
-    for record in records:
-        if (record["failed"] or record["k_offset"] != 0
-                or record["normalization"] != "none"):
-            continue
-        groups.setdefault((technique_family(record["technique"]),
-                           record["noise"]), []).append(record["error"])
+    groups = _grouped(records, lambda r: (parse_technique(r["technique"]).family,
+                                          r["noise"]),
+                      lambda r: r["k_offset"] == 0 and r["normalization"] == "none")
     families = sorted({fam for fam, _ in groups})
     rows = []
     for family in families:

@@ -13,7 +13,7 @@ Technique identifiers are stable strings such as ``svd``, ``fastica``,
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -25,24 +25,6 @@ NNMF_INITS = ("random", "nndsvd", "nndsvda", "nndsvdar")
 SIMPLISMA_OFFSETS = (0, 2, 8, 12, 15)
 MCR_REGRESSIONS = ("ols_als", "nnls")
 MCR_INITS = ("provided", "random")
-
-
-@dataclass(frozen=True)
-class TechniqueId:
-    family: str
-    variant: str = ""
-
-    def __post_init__(self):
-        if self.name not in TECHNIQUES:
-            raise ValueError(f"unknown technique {self.name!r}; "
-                             f"valid: {', '.join(TECHNIQUES)}")
-
-    @property
-    def name(self) -> str:
-        return f"{self.family}:{self.variant}" if self.variant else self.family
-
-    def __str__(self):
-        return self.name
 
 
 # Every technique by identifier, each as run(dataset, k, seed).  The order
@@ -66,15 +48,20 @@ TECHNIQUES = {
 }
 
 
-def technique_names() -> tuple:
-    """Every legal technique identifier string, in roster order."""
-    return tuple(TECHNIQUES)
+class TechniqueId(NamedTuple):
+    """A roster name split at its first colon (``mcr``, ``nnls:random``)."""
+
+    family: str
+    variant: str
 
 
 def parse_technique(name: str) -> TechniqueId:
-    name = name.strip()
+    """Split a roster name; refuse a name that is not in :data:`TECHNIQUES`."""
+    if name not in TECHNIQUES:
+        raise ValueError(f"unknown technique {name!r}; "
+                         f"valid: {', '.join(TECHNIQUES)}")
     family, _, variant = name.partition(":")
-    return TechniqueId(family=family, variant=variant)
+    return TechniqueId(family, variant)
 
 
 @dataclass(eq=False)
@@ -83,7 +70,7 @@ class ComponentSet:
 
     components: np.ndarray = field(repr=False)     # (k, n_points)
     coefficients: np.ndarray = field(repr=False)   # (n_spectra, k)
-    technique: Optional[TechniqueId] = None        # named by decompose
+    technique: Optional[str] = None                # roster name, set by decompose
     converged: bool = True
     runtime_seconds: float = 0.0
     meta: dict = field(default_factory=dict)
@@ -93,7 +80,7 @@ class ComponentSet:
         return self.components.shape[0]
 
 
-def decompose(dataset: MixtureDataset, technique, k: int, seed: int = 0) -> ComponentSet:
+def decompose(dataset: MixtureDataset, technique: str, k: int, seed: int = 0) -> ComponentSet:
     """Run one technique on one dataset, timing the call.
 
     Techniques that internally produce more components than requested keep
@@ -102,13 +89,12 @@ def decompose(dataset: MixtureDataset, technique, k: int, seed: int = 0) -> Comp
     technique unable to produce any output raises
     :class:`~bssnmr.errors.TechniqueFailure`.
     """
-    if isinstance(technique, str):
-        technique = parse_technique(technique)
+    parse_technique(technique)
     if not 1 <= k <= dataset.n_spectra:
         raise ValueError(f"k must lie in [1, {dataset.n_spectra}]")
 
     start = time.perf_counter()
-    result = TECHNIQUES[technique.name](dataset, k, seed)
+    result = TECHNIQUES[technique](dataset, k, seed)
     result.technique = technique
     result.runtime_seconds = time.perf_counter() - start
     return result

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Plain ``ValueError`` is used for ordinary invalid-argument conditions; the
-classes below mark conditions that callers need to tell apart (the CLI maps
-them to distinct exit codes, the benchmark excludes technique failures from
-error statistics).
+classes below mark conditions that callers need to tell apart.  The CLI
+exits 3 on any ``ValueError``, these subclasses included, and 4 on the two
+``RuntimeError`` classes, which the benchmark keeps as failed records.
 """
 
 

@@ -246,7 +246,7 @@ def write_component_set(path, result: ComponentSet, grid: Optional[SpectrumGrid]
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": "component_set",
-        "technique": result.technique.name,
+        "technique": result.technique,
         "k_requested": result.k,
         "converged": result.converged,
         "runtime_seconds": result.runtime_seconds,
@@ -268,16 +268,18 @@ def read_component_set(path) -> ComponentSet:
     k = _require(payload, "k_requested", int)
     if k != comps.shape[0]:
         raise DataFormatError(f"k_requested {k} != {comps.shape[0]} component rows")
+    technique = _require(payload, "technique", str)
+    parse_technique(technique)
     return ComponentSet(
-        components=comps, coefficients=coeff,
-        technique=parse_technique(_require(payload, "technique", str)),
+        components=comps, coefficients=coeff, technique=technique,
         converged=bool(_require(payload, "converged")),
         runtime_seconds=float(payload.get("runtime_seconds", 0.0)),
         meta=payload.get("meta") or {})
 
 
-def match_report_to_json(report: MatchReport) -> dict:
-    return {
+def write_match_report(path, report: MatchReport):
+    write_json(path, {
+        "format_version": FORMAT_VERSION, "kind": "match_report",
         "pairs": [{"predicted": i, "pure": j,
                    "B": fit.B, "M": fit.M, "lack_of_fit": fit.lack_of_fit}
                   for i, j, fit in report.pairs],
@@ -285,13 +287,7 @@ def match_report_to_json(report: MatchReport) -> dict:
         "discarded_predicted": report.discarded_predicted,
         "unmatched_pure": report.unmatched_pure,
         "dataset_error": report.dataset_error,
-    }
-
-
-def write_match_report(path, report: MatchReport):
-    payload = {"format_version": FORMAT_VERSION, "kind": "match_report"}
-    payload.update(match_report_to_json(report))
-    write_json(path, payload)
+    })
 
 
 def _json_safe(value):

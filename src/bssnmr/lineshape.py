@@ -193,24 +193,6 @@ def broaden_sigma_bins(width: float, n_points: int) -> float:
     return width * (n_points - 1) / n_points
 
 
-def gaussian_broaden(intensity, width: float) -> np.ndarray:
-    """Gaussian smoothing of a spectrum vector.
-
-    Unit-area kernel, so total intensity within the infinite line is
-    preserved; mass diffusing past the zero-padded window edges is lost.
-    """
-    if width <= 0:
-        raise ValueError("smoothing width must be positive")
-    intensity = np.asarray(intensity, dtype=float)
-    n = intensity.size
-    padded = _padded_length(n)
-    margin = (padded - n) // 2
-    buf = np.zeros(padded)
-    buf[margin:margin + n] = intensity
-    out = _broaden_padded(buf, broaden_sigma_bins(width, n))
-    return out[margin:margin + n]
-
-
 def simulate_pure(params: QuadrupolarParams, grid: SpectrumGrid,
                   component_id: str = "",
                   orientations=DEFAULT_ORIENTATIONS) -> PureComponent:
@@ -276,11 +258,6 @@ class LibraryGridSpec:
             spin=spin,
             spin_rate_hz=spin_rate_hz,
         )
-
-    @property
-    def size(self) -> int:
-        return (len(self.cq_values_hz) * len(self.eta_values)
-                * len(self.shift_values_hz) * len(self.broaden_values))
 
     def component_id(self, i_cq: int, i_eta: int, i_shift: int,
                      i_broaden: int) -> str:

@@ -78,12 +78,6 @@ class MixtureDataset:
     def n_spectra(self) -> int:
         return self.spectra.shape[0]
 
-    @property
-    def component_ids(self) -> tuple:
-        if self.components is None:
-            return ()
-        return tuple(s.component_id for s in self.components)
-
 
 def sample_components(library: Sequence[PureComponent], k: int, rng_seed) -> list:
     """Draw k distinct components by single-pass reservoir sampling."""

@@ -28,7 +28,7 @@ def cosine(a, b):
 # ---------------------------------------------------------------------------
 
 def test_technique_roster():
-    names = bss.technique_names()
+    names = tuple(bss.TECHNIQUES)
     assert "nnmf:nndsvdar" in names
     assert "simplisma:offset8" in names
     assert "mcr:nnls:random" in names
@@ -49,6 +49,8 @@ def test_parse_technique_validates():
         bss.parse_technique("nnmf:bogus")
     with pytest.raises(ValueError):
         bss.parse_technique("unknown")
+    with pytest.raises(ValueError):
+        bss.parse_technique(" svd")     # a name is never stripped
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def counting_svd(monkeypatch):
 def test_warm_factors_give_the_fresh_result(small_library):
     pures = synth.sample_components(small_library, 4, 43)
     ds = synth.assemble_dataset(pures, "inversion", 43, noise_factor=0.0003)
-    for technique in reversed(bss.technique_names()):
+    for technique in reversed(tuple(bss.TECHNIQUES)):
         for k in (2, 3, 5):
             bss.decompose(ds, technique, k, seed=5)
     branches = set()

@@ -122,7 +122,7 @@ def test_decompose_writes_component_set(tmp_path, one_dataset):
     result = fileio.read_component_set(out)
     assert result.components.shape == (3, 1024)
     assert result.coefficients.shape == (20, 3)
-    assert result.technique.name == "simplisma:offset8"
+    assert result.technique == "simplisma:offset8"
 
 
 def test_decompose_metadata_audit(tmp_path, one_dataset):
@@ -149,10 +149,10 @@ def test_decompose_unknown_technique_lists_valid(tmp_path, one_dataset, capsys):
 def test_score_perfect_prediction(tmp_path, one_dataset):
     dataset_path, pures_path = one_dataset
     pures, grid, _ = fileio.read_library(pures_path)
-    from bssnmr.bss import ComponentSet, TechniqueId
+    from bssnmr.bss import ComponentSet
     fake = ComponentSet(
         components=np.stack([p.intensity for p in pures]),
-        coefficients=np.zeros((20, 3)), technique=TechniqueId("svd"))
+        coefficients=np.zeros((20, 3)), technique="svd")
     cs_path = tmp_path / "perfect.json"
     fileio.write_component_set(cs_path, fake, grid)
     report_path = tmp_path / "report.json"
@@ -182,10 +182,9 @@ def test_score_discards_excess_predictions(tmp_path, one_dataset):
 
 def test_score_mismatched_lengths(tmp_path, one_dataset):
     _, pures_path = one_dataset
-    from bssnmr.bss import ComponentSet, TechniqueId
+    from bssnmr.bss import ComponentSet
     fake = ComponentSet(components=np.ones((2, 100)),
-                        coefficients=np.zeros((20, 2)),
-                        technique=TechniqueId("svd"))
+                        coefficients=np.zeros((20, 2)), technique="svd")
     cs_path = tmp_path / "short.json"
     fileio.write_component_set(cs_path, fake)
     code = main(["score", "--predicted", str(cs_path), "--pure", str(pures_path),
@@ -197,12 +196,13 @@ def test_score_mismatched_lengths(tmp_path, one_dataset):
 # bench
 # ---------------------------------------------------------------------------
 
-def bench_plan_file(tmp_path):
+def bench_plan_file(tmp_path, **overrides):
     plan = {
         "master_seed": 5, "n_datasets_per_cell": 2, "models": ["inversion"],
         "noise_levels": [0.000316], "component_count_modes": ["fixed4"],
         "normalizations": ["none"], "techniques": ["svd", "nnmf:nndsvd"],
         "k_offsets": [0, 1],
+        **overrides,
     }
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
@@ -276,6 +276,29 @@ def test_bench_without_exact_k_results_is_a_data_error(tmp_path, tiny_library,
     assert not (out / "table1.csv").exists()
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("models", ["inversion", "relaxation"]),
+    ("normalizations", ["none", "max"]),
+    ("techniques", ["svd", "nnmf:bogus"]),
+    ("noise_levels", [-1.0]),
+    ("noise_levels", [float("inf")]),
+    ("k_offsets", [0, 1.5]),
+    ("noise_levels", [0.000316, 0.000316]),
+    ("techniques", ["svd", "nnmf:nndsvd", "svd"]),
+    ("k_offsets", [0, 1, 0]),
+    ("n_datasets_per_cell", 1.5),
+])
+def test_bench_refuses_plan_before_any_record(tmp_path, tiny_library, axis,
+                                              values):
+    with pytest.raises(ValueError):
+        bench.BenchmarkPlan(**{axis: tuple(values) if isinstance(values, list)
+                               else values})
+    out = tmp_path / "bench"
+    assert main(["bench", "--plan", str(bench_plan_file(tmp_path, **{axis: values})),
+                 "--library", str(tiny_library), "--out", str(out)]) == 3
+    assert not (out / "records.jsonl").exists()
+
+
 def test_bench_rejects_bad_plan(tmp_path, tiny_library):
     bad = tmp_path / "bad_plan.json"
     bad.write_text(json.dumps({"master_seed": 1, "bogus_field": 2}))
@@ -301,7 +324,8 @@ def test_dataset_round_trip(tmp_path, small_library):
     fileio.write_dataset(path, ds)
     loaded = fileio.read_dataset(path)
     assert np.array_equal(loaded.spectra, ds.spectra)
-    assert loaded.component_ids == ds.component_ids
+    assert ([s.component_id for s in loaded.components]
+            == [s.component_id for s in ds.components])
     assert loaded.seed == ds.seed
     assert loaded.noise_factor == ds.noise_factor
     for a, b in zip(loaded.components, ds.components):

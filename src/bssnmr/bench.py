@@ -49,6 +49,8 @@ class BenchmarkPlan:
     def __post_init__(self):
         if not self.techniques:
             object.__setattr__(self, "techniques", tuple(TECHNIQUES))
+        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+            raise ValueError(f"master_seed must be a non-negative int: {self.master_seed!r}")
         if not isinstance(self.n_datasets_per_cell, int) or self.n_datasets_per_cell < 1:
             raise ValueError("n_datasets_per_cell must be an int of at least 1")
         if 0 not in self.k_offsets:

@@ -26,6 +26,10 @@ SIMPLISMA_OFFSETS = (0, 2, 8, 12, 15)
 MCR_REGRESSIONS = ("ols_als", "nnls")
 MCR_INITS = ("provided", "random")
 
+# Each technique is defined by its roster name and these fixed stopping rules.
+FASTICA_MAX_ITER, FASTICA_TOL = 400, 1e-6
+MCR_MAX_ITER, MCR_TOL = 500, 1e-8
+
 
 # Every technique by identifier, each as run(dataset, k, seed).  The order
 # is the roster order, and the bench seeds each technique by its index in
@@ -83,11 +87,9 @@ class ComponentSet:
 def decompose(dataset: MixtureDataset, technique: str, k: int, seed: int = 0) -> ComponentSet:
     """Run one technique on one dataset, timing the call.
 
-    Techniques that internally produce more components than requested keep
-    the top k by explained variance.  Iterative techniques that fail to
-    converge return their last iterate flagged ``converged=False``; a
-    technique unable to produce any output raises
-    :class:`~bssnmr.errors.TechniqueFailure`.
+    Iterative techniques that fail to converge return their last iterate
+    flagged ``converged=False``; a technique unable to produce any output
+    raises :class:`~bssnmr.errors.TechniqueFailure`.
     """
     parse_technique(technique)
     if not 1 <= k <= dataset.n_spectra:
@@ -151,7 +153,7 @@ def svd_like(dataset: MixtureDataset, k: int, centered: bool = False) -> Compone
     u, s, vt = _factors(dataset, "centered" if centered else "raw")
     comps = vt[:k].copy()
     coeff = u[:, :k] * s[:k]
-    meta = {"singular_values": s.tolist(), "centered": centered}
+    meta = {"singular_values": s.tolist()}
     return ComponentSet(components=comps, coefficients=coeff, meta=meta)
 
 
@@ -181,8 +183,7 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ w
 
 
-def fastica(dataset: MixtureDataset, k: int, seed: int = 0,
-            tol: float = 1e-6, max_iter: int = 400) -> ComponentSet:
+def fastica(dataset: MixtureDataset, k: int, seed: int = 0) -> ComponentSet:
     """Fixed-point ICA with log-cosh contrast and symmetric decorrelation.
 
     The frequency axis provides the samples; unmixed sources are returned
@@ -194,14 +195,14 @@ def fastica(dataset: MixtureDataset, k: int, seed: int = 0,
     w = _sym_decorrelate(rng.standard_normal((k, k)))
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, FASTICA_MAX_ITER + 1):
         wz = w @ z
         g = np.tanh(wz)
         g_prime = 1.0 - g ** 2
         w_new = _sym_decorrelate((g @ z.T) / n - g_prime.mean(axis=1)[:, None] * w)
         delta = float(np.max(np.abs(np.abs(np.einsum("ij,ij->i", w_new, w)) - 1.0)))
         w = w_new
-        if delta < tol:
+        if delta < FASTICA_TOL:
             converged = True
             break
     comps = w @ z
@@ -254,7 +255,7 @@ def sobi(dataset: MixtureDataset, k: int, lags=(1, 2, 3, 4, 5)) -> ComponentSet:
     profiles = jd.V.T @ z                     # (k, n_spectra)
     comps = (back @ jd.V).T                   # (k, n_points)
     coeff = profiles.T                        # (n_spectra, k)
-    meta = {"lags": list(lags), "sweeps": jd.sweeps}
+    meta = {"sweeps": jd.sweeps}
     return ComponentSet(components=comps, coefficients=coeff,
                         converged=jd.converged, meta=meta)
 
@@ -469,8 +470,8 @@ def nnmf(dataset: MixtureDataset, k: int, init: str = "nndsvd", seed: int = 0,
             converged = True
             break
 
-    meta = {"init": init, "flipped_rows": flipped_rows.tolist(),
-            "offset": shift, "objective_history": history}
+    meta = {"flipped_rows": flipped_rows.tolist(), "offset": shift,
+            "objective_history": history}
     return ComponentSet(components=h, coefficients=np.ascontiguousarray(wt.T),
                         converged=converged, meta=meta)
 
@@ -535,7 +536,7 @@ def simplisma(dataset: MixtureDataset, k: int, offset_percent: float) -> Compone
 
     profiles = d[:, selected]                 # (n_spectra, k) concentrations
     comps, *_ = np.linalg.lstsq(profiles, d, rcond=None)
-    meta = {"offset_percent": offset_percent, "pure_variables": selected}
+    meta = {"pure_variables": selected}
     return ComponentSet(components=comps, coefficients=profiles, meta=meta)
 
 
@@ -570,8 +571,7 @@ def _regress(design: np.ndarray, target: np.ndarray):
 
 
 def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
-        init: str = "provided", init_components=None, seed: int = 0,
-        max_iter: int = 500, tol: float = 1e-8) -> ComponentSet:
+        init: str = "provided", seed: int = 0) -> ComponentSet:
     """Alternating regression between concentrations and spectra.
 
     ``ols_als`` uses unconstrained least squares in both directions;
@@ -580,7 +580,7 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
     solves that step for every spectrum in one batched NNLS call, warm
     started from the previous sweep's concentrations.  The default
     "provided" initialization uses the magnitude-rectified leading right
-    singular vectors.  ``meta["ridge_fallback"]`` is set when any
+    singular vectors.  ``meta["lstsq_fallback"]`` is set when any
     unconstrained step had a singular Gram matrix and was solved by
     ``np.linalg.lstsq`` instead (see :func:`_regress`).
     """
@@ -589,7 +589,7 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
     if init not in MCR_INITS:
         raise ValueError(f"unknown mcr init {init!r}")
 
-    meta = {"regression": regression, "init": init, "ridge_fallback": False}
+    meta = {"lstsq_fallback": False}
     if regression == "nnls":
         x, flipped_rows, shift = nnmf_preprocess(dataset.spectra)
         meta["flipped_rows"] = flipped_rows.tolist()
@@ -599,13 +599,8 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
 
     rng = seeded_rng(seed)
     if init == "provided":
-        if init_components is not None:
-            spectra = np.array(init_components, dtype=float)
-            if spectra.shape != (k, x.shape[1]):
-                raise ValueError("init_components must have shape (k, n_points)")
-        else:
-            _, _, vt = _factors(dataset, "nonnegative" if regression == "nnls" else "raw")
-            spectra = np.abs(vt[:k])
+        _, _, vt = _factors(dataset, "nonnegative" if regression == "nnls" else "raw")
+        spectra = np.abs(vt[:k])
     else:
         spectra = rng.random((k, x.shape[1]))
 
@@ -613,18 +608,18 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
     converged = False
     conc = np.zeros((x.shape[0], k))
     norm_x = max(float(np.linalg.norm(x)), np.finfo(float).tiny)
-    for _ in range(max_iter):
+    for _ in range(MCR_MAX_ITER):
         if regression == "nnls":
             conc = nnls(spectra.T, x.T, start=conc.T).T
         else:
             coef, fell_back = _regress(spectra.T, x.T)
             conc = coef.T
-            meta["ridge_fallback"] |= fell_back
+            meta["lstsq_fallback"] |= fell_back
         spectra, fell_back = _regress(conc, x)
-        meta["ridge_fallback"] |= fell_back
+        meta["lstsq_fallback"] |= fell_back
         residual = float(np.linalg.norm(x - conc @ spectra))
         history.append(residual)
-        if len(history) > 1 and abs(history[-2] - residual) <= tol * norm_x:
+        if len(history) > 1 and abs(history[-2] - residual) <= MCR_TOL * norm_x:
             converged = True
             break
 

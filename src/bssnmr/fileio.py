@@ -56,8 +56,7 @@ def _check_version(payload: dict, kind: str):
 
 def write_json(path, payload: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
+        handle.write(json.dumps(payload) + "\n")
 
 
 def read_json(path) -> dict:

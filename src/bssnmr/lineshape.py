@@ -35,7 +35,7 @@ import numpy as np
 
 # Equal-area production orientation grid (alpha x cos(beta)); the oracle in
 # the test suite uses an independent dense sum instead of this path.
-DEFAULT_ORIENTATIONS = (256, 256)
+ORIENTATIONS = (256, 256)
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,9 @@ def anisotropy_prefactor_hz(params: QuadrupolarParams, larmor_hz: float) -> floa
     return -(nu_q ** 2 / (6.0 * larmor_hz)) * (spin * (spin + 1.0) - 0.75)
 
 
-def crystallite_frequencies(params: QuadrupolarParams, grid: SpectrumGrid,
-                            orientations=DEFAULT_ORIENTATIONS) -> np.ndarray:
+def crystallite_frequencies(params: QuadrupolarParams, grid: SpectrumGrid) -> np.ndarray:
     """Absolute frequency of every powder orientation, in Hz."""
-    g = _angular_shape(params.eta, orientations[0], orientations[1])
+    g = _angular_shape(params.eta, *ORIENTATIONS)
     shift = params.delta_iso_hz + isotropic_second_order_shift_hz(
         params, grid.larmor_hz)
     return shift + anisotropy_prefactor_hz(params, grid.larmor_hz) * g
@@ -194,13 +193,12 @@ def broaden_sigma_bins(width: float, n_points: int) -> float:
 
 
 def simulate_pure(params: QuadrupolarParams, grid: SpectrumGrid,
-                  component_id: str = "",
-                  orientations=DEFAULT_ORIENTATIONS) -> PureComponent:
+                  component_id: str = "") -> PureComponent:
     """Powder-averaged, unit-area, Gaussian-smoothed lineshape.
 
     Deterministic: identical inputs give bit-identical spectra.
     """
-    freqs = crystallite_frequencies(params, grid, orientations)
+    freqs = crystallite_frequencies(params, grid)
     deposit, margin = _deposit_sticks(freqs, grid)
     sigma = broaden_sigma_bins(params.gaussian_broaden, grid.n_points)
     smoothed = _broaden_padded(deposit, sigma)
@@ -274,8 +272,7 @@ class LibraryGridSpec:
         )
 
 
-def generate_library(grid_spec: LibraryGridSpec, grid: SpectrumGrid = DEFAULT_GRID,
-                     orientations=DEFAULT_ORIENTATIONS) -> list:
+def generate_library(grid_spec: LibraryGridSpec, grid: SpectrumGrid = DEFAULT_GRID) -> list:
     """All pure components on the parameter grid, in grid-index order.
 
     The smoothing axis is innermost so the expensive powder deposit is
@@ -288,7 +285,7 @@ def generate_library(grid_spec: LibraryGridSpec, grid: SpectrumGrid = DEFAULT_GR
                       range(len(grid_spec.shift_values_hz)))
     for i_cq, i_eta, i_shift in indices:
         base = grid_spec.params_at(i_cq, i_eta, i_shift, 0)
-        freqs = crystallite_frequencies(base, grid, orientations)
+        freqs = crystallite_frequencies(base, grid)
         deposit, margin = _deposit_sticks(freqs, grid)
         spectrum_fft = np.fft.rfft(deposit)
         padded = deposit.size

@@ -188,8 +188,10 @@ class JointDiagResult(NamedTuple):
     off_diagonal: list
 
 
-def joint_diagonalize(matrices: Sequence[np.ndarray], tol: float = 1e-12,
-                      max_sweeps: int = 200) -> JointDiagResult:
+JACOBI_TOL, JACOBI_MAX_SWEEPS = 1e-12, 200
+
+
+def joint_diagonalize(matrices: Sequence[np.ndarray]) -> JointDiagResult:
     """Simultaneous diagonalization of symmetric matrices by Givens sweeps.
 
     Returns an orthogonal V such that V.T @ M @ V is jointly as diagonal as
@@ -205,11 +207,12 @@ def joint_diagonalize(matrices: Sequence[np.ndarray], tol: float = 1e-12,
     ``a[r, i, c] = M_i[r, c]``, so that J.T @ M_i for every i is one 2-d
     product on the (k, n k) view and the right product with J another on
     the (k n, k) view.  A pair is left alone when its off-diagonal content
-    or its rotation sine is at most ``tol`` times the largest input
-    magnitude (at least 1).  The sweeps stop after the first sweep that
-    rotates nothing (``converged``) or after ``max_sweeps``.  The summed
-    squared off-diagonal energy is non-increasing across sweeps; the
-    per-sweep values are recorded in the result.
+    or its rotation sine is at most :data:`JACOBI_TOL` times the largest
+    input magnitude (at least 1).  The sweeps stop after the first sweep
+    that rotates nothing (``converged``) or after
+    :data:`JACOBI_MAX_SWEEPS`.  The summed squared off-diagonal energy is
+    non-increasing across sweeps; the per-sweep values are recorded in the
+    result.
     """
     a = np.stack([np.asarray(m, dtype=float) for m in matrices], axis=1)
     if a.ndim != 3 or a.shape[0] != a.shape[2]:
@@ -219,11 +222,11 @@ def joint_diagonalize(matrices: Sequence[np.ndarray], tol: float = 1e-12,
     v = np.eye(k)
     history = [float(np.sum(a[off_rows, :, off_cols] ** 2))]
     scale = max(1.0, float(np.max(np.abs(a))))
-    threshold = tol * scale
+    threshold = JACOBI_TOL * scale
 
     converged = False
     sweeps = 0
-    while sweeps < max_sweeps:
+    while sweeps < JACOBI_MAX_SWEEPS:
         sweeps += 1
         rotated = False
         for rows, cols in steps:

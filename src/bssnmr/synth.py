@@ -117,18 +117,19 @@ def nutation_profile(A: float, f: float, pulses) -> np.ndarray:
     return A * np.cos(2.0 * np.pi * f * pulses)
 
 
-def recovery_times(max_t1: float, n: int = SPECTRA_PER_DATASET) -> np.ndarray:
-    """Equally spaced recovery times tau_j = j * tau_max / n, j = 1..n.
+def recovery_times(max_t1: float) -> np.ndarray:
+    """Equally spaced recovery times tau_j = j * tau_max / n, j = 1..n, for
+    n = :data:`SPECTRA_PER_DATASET`.
 
     tau_max is chosen so the slowest component reaches the final-recovery
     fraction exactly at the last spectrum.
     """
     tau_max = TAU_MAX_FACTOR * max_t1
-    return tau_max * np.arange(1, n + 1) / n
+    return tau_max * np.arange(1, SPECTRA_PER_DATASET + 1) / SPECTRA_PER_DATASET
 
 
-def nutation_pulses(n: int = SPECTRA_PER_DATASET) -> np.ndarray:
-    return np.linspace(0.0, 1.0, n)
+def nutation_pulses() -> np.ndarray:
+    return np.linspace(0.0, 1.0, SPECTRA_PER_DATASET)
 
 
 def assemble_dataset(pures: Sequence[PureComponent], model: str, rng_seed: int,
@@ -160,9 +161,6 @@ def assemble_dataset(pures: Sequence[PureComponent], model: str, rng_seed: int,
     if model == "inversion":
         t1 = rng.uniform(0.5, 2.0, size=k)
         amps = rng.uniform(MIN_AMPLITUDE_FRACTION, 1.0, size=k)
-        while amps.min() < MIN_AMPLITUDE_FRACTION * amps.max():
-            bad = amps < MIN_AMPLITUDE_FRACTION * amps.max()
-            amps[bad] = rng.uniform(MIN_AMPLITUDE_FRACTION, 1.0, size=int(bad.sum()))
         taus = recovery_times(float(t1.max()))
         for i, pure in enumerate(pures):
             values = inversion_profile(float(amps[i]), float(t1[i]), taus)

@@ -602,9 +602,9 @@ def test_regress_matches_lstsq():
     for rows, k, cols in ((20, 4, 1024), (1024, 6, 20), (50, 10, 3)):
         design = rng.standard_normal((rows, k))
         target = rng.standard_normal((rows, cols))
-        coef, used_ridge = bss._regress(design, target)
+        coef, used_lstsq = bss._regress(design, target)
         reference, *_ = np.linalg.lstsq(design, target, rcond=None)
-        assert not used_ridge
+        assert not used_lstsq
         assert np.max(np.abs(coef - reference)) <= 1e-10 * np.max(np.abs(reference))
 
 
@@ -648,25 +648,26 @@ def test_regress_nonfinite_inverse_falls_back_quietly():
     assert np.array_equal(coef, np.linalg.lstsq(design, target, rcond=None)[0])
 
 
-def test_mcr_reports_ridge_fallback(small_library):
+def test_mcr_reports_lstsq_fallback(grid, small_library):
+    # 20 identical rows give 20 identical concentration rows, so the Gram
+    # matrix of the spectra step is singular at k 3
+    identical = synth.MixtureDataset(
+        grid=grid, spectra=np.tile(small_library[37].intensity, (20, 1)))
+    for variant in ("ols_als", "nnls"):
+        result = bss.mcr(identical, 3, regression=variant)
+        assert result.meta["lstsq_fallback"]
+        assert np.all(np.isfinite(result.components))
     pures = synth.sample_components(small_library, 3, 306)
     ds = synth.assemble_dataset(pures, "inversion", 306, noise_factor=0.0003)
-    duplicated = np.stack([pures[0].intensity, pures[1].intensity,
-                           pures[1].intensity])
-    for variant in ("ols_als", "nnls"):
-        result = bss.mcr(ds, 3, regression=variant, init_components=duplicated,
-                         max_iter=5)
-        assert result.meta["ridge_fallback"]
-        assert np.all(np.isfinite(result.components))
     result = bss.mcr(ds, 3, regression="ols_als")
-    assert not result.meta["ridge_fallback"]
+    assert not result.meta["lstsq_fallback"]
 
 
 def test_mcr_true_init_is_fixed_point(disjoint_pures_2):
     ds = synth.assemble_dataset(disjoint_pures_2, "inversion", 301, noise_factor=0.0)
-    truth = np.stack([p.intensity for p in disjoint_pures_2])
-    result = bss.mcr(ds, 2, regression="ols_als", init="provided",
-                     init_components=truth)
+    # the rectified singular vectors of two disjoint lines span the true
+    # spectra, so the default start is already the solution
+    result = bss.mcr(ds, 2, regression="ols_als", init="provided")
     history = result.meta["residual_history"]
     assert len(history) <= 2
     assert history[-1] < 1e-10

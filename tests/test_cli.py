@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bssnmr import bench, fileio, synth
-from bssnmr.cli import main
+from bssnmr.cli import _plan_from_json, main
 from bssnmr.errors import DataFormatError, NumericalFailure
 
 TINY_SPEC = {
@@ -134,7 +135,7 @@ def test_decompose_metadata_audit(tmp_path, one_dataset):
     payload = fileio.read_json(out)
     assert "flipped_rows" in payload["meta"]
     assert "offset" in payload["meta"]
-    assert payload["meta"]["init"] == "nndsvdar"
+    assert payload["technique"] == "nnmf:nndsvdar"
 
 
 def test_decompose_unknown_technique_lists_valid(tmp_path, one_dataset, capsys):
@@ -287,6 +288,9 @@ def test_bench_without_exact_k_results_is_a_data_error(tmp_path, tiny_library,
     ("techniques", ["svd", "nnmf:nndsvd", "svd"]),
     ("k_offsets", [0, 1, 0]),
     ("n_datasets_per_cell", 1.5),
+    ("master_seed", "7"),
+    ("master_seed", 7.9),
+    ("master_seed", -1),
 ])
 def test_bench_refuses_plan_before_any_record(tmp_path, tiny_library, axis,
                                               values):
@@ -297,6 +301,16 @@ def test_bench_refuses_plan_before_any_record(tmp_path, tiny_library, axis,
     assert main(["bench", "--plan", str(bench_plan_file(tmp_path, **{axis: values})),
                  "--library", str(tiny_library), "--out", str(out)]) == 3
     assert not (out / "records.jsonl").exists()
+
+
+def test_committed_fixed_plan_and_grid():
+    plans = Path(__file__).resolve().parents[1] / "plans"
+    plan = _plan_from_json(plans / "fixed.json")
+    spec = fileio.grid_spec_from_json(fileio.read_json(plans / "fixed_grid.json"))
+    assert len(list(plan.dataset_keys())) == 12
+    assert plan.records_per_dataset == 120
+    assert (len(spec.cq_values_hz) * len(spec.eta_values)
+            * len(spec.shift_values_hz) * len(spec.broaden_values)) == 108
 
 
 def test_bench_rejects_bad_plan(tmp_path, tiny_library):

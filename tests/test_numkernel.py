@@ -233,7 +233,7 @@ def test_joint_diagonalize_off_diagonal_monotone():
             for _ in range(3):
                 m = rng.standard_normal((k, k))
                 mats.append(m + m.T)
-            res = nk.joint_diagonalize(mats, max_sweeps=20)
+            res = nk.joint_diagonalize(mats)
             history = np.array(res.off_diagonal)
             assert np.all(np.diff(history) <= 1e-9 * max(1.0, history[0]))
 

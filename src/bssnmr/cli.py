@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 All commands are deterministic given their flags and inputs; ``bssnmr bench``
-owns a worker pool sized by ``--workers`` (default from BSSNMR_WORKERS).
+owns a worker pool sized by ``--workers``.
 """
 
-import dataclasses
 import json
 import os
 import sys
@@ -33,8 +32,7 @@ def cli():
 def _load_grid_spec(text: str) -> LibraryGridSpec:
     if text == "default":
         return LibraryGridSpec.from_counts()
-    payload = fileio.read_json(text)
-    return fileio.grid_spec_from_json(payload)
+    return fileio.from_json(LibraryGridSpec, fileio.read_json(text), text)
 
 
 @cli.command("generate-pure")
@@ -151,20 +149,6 @@ def cmd_score(predicted_path, pure_path, out_path, svg_dir):
                f"{report.dataset_error:.6g} -> {out_path}")
 
 
-def _plan_from_json(path) -> bench_mod.BenchmarkPlan:
-    payload = fileio.read_json(path)
-    known = {field.name for field in dataclasses.fields(bench_mod.BenchmarkPlan)}
-    unknown = set(payload) - known
-    if unknown:
-        raise DataFormatError(f"plan: unknown fields {sorted(unknown)}")
-    kwargs = {key: tuple(value) if isinstance(value, list) else value
-              for key, value in payload.items()}
-    try:
-        return bench_mod.BenchmarkPlan(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"plan: {exc}") from exc
-
-
 def _resume_records(records_path, per_dataset: int) -> list:
     """Records of the datasets completed by an interrupted bench run.
 
@@ -205,8 +189,8 @@ def _resume_records(records_path, per_dataset: int) -> list:
 @click.option("--library", "library_path", required=True,
               type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--workers", type=int, default=None,
-              help="Worker process count [default: BSSNMR_WORKERS or 1].")
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="Worker process count.")
 @click.option("--resume", is_flag=True,
               help="Reuse records already present in the output directory.")
 def cmd_bench(plan_path, library_path, out_dir, workers, resume):
@@ -219,12 +203,10 @@ def cmd_bench(plan_path, library_path, out_dir, workers, resume):
     runtime_factors.csv holds wall-clock data and is excluded from that
     guarantee.
     """
-    if workers is None:
-        workers = int(os.environ.get("BSSNMR_WORKERS", "1"))
     if workers < 1:
         raise click.UsageError("--workers must be at least 1")
-    plan = (bench_mod.BenchmarkPlan() if plan_path == "full"
-            else _plan_from_json(plan_path))
+    plan = (bench_mod.BenchmarkPlan() if plan_path == "full" else fileio.from_json(
+        bench_mod.BenchmarkPlan, fileio.read_json(plan_path), plan_path))
     library, _, _ = fileio.read_library(library_path)
 
     out = Path(out_dir)

@@ -6,8 +6,10 @@ Validation failures raise DataFormatError naming the offending field.
 """
 
 import base64
+import dataclasses
 import json
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -68,61 +70,89 @@ def read_json(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# grids and parameters
+# stored dataclasses
 # ---------------------------------------------------------------------------
 
-def grid_to_json(grid: SpectrumGrid) -> dict:
-    return {"n_points": grid.n_points, "sweep_width_hz": grid.sweep_width_hz,
-            "larmor_hz": grid.larmor_hz, "center_hz": grid.center_hz}
+def to_json(obj) -> dict:
+    """A dataclass's fields in declaration order, arrays as base64 text and
+    tuples as lists."""
+    payload = {}
+    for key, _, _ in _schema(type(obj)):
+        value = getattr(obj, key)
+        if isinstance(value, np.ndarray):
+            value = encode_array(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        payload[key] = value
+    return payload
 
-def grid_from_json(payload: dict) -> SpectrumGrid:
+
+def from_json(cls, payload, where: str):
+    """Build dataclass ``cls`` from a JSON object read at ``where``.
+
+    Refuses a non-object, an unknown key, a missing field that has no
+    default and a value of the wrong JSON type; a ``float`` field takes a
+    JSON int as a float.  Each refusal is a DataFormatError naming the type
+    and the field, and so is a value the type itself refuses.
+    """
+    name = cls.__name__
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{where}: {name} must be a JSON object")
+    kwargs = {}
+    for key, decode, required in _schema(cls):
+        if key in payload:
+            try:
+                kwargs[key] = decode(payload[key])
+            except DataFormatError as exc:
+                raise DataFormatError(f"{where}: {name}.{key}: {exc}") from None
+        elif required:
+            raise DataFormatError(f"{where}: {name} is missing field {key!r}")
+    if len(kwargs) != len(payload):
+        unknown = sorted(set(payload) - {key for key, _, _ in _schema(cls)})
+        raise DataFormatError(f"{where}: {name} has unknown fields {unknown}")
     try:
-        return SpectrumGrid(
-            n_points=int(_require(payload, "n_points")),
-            sweep_width_hz=float(_require(payload, "sweep_width_hz")),
-            larmor_hz=float(_require(payload, "larmor_hz")),
-            center_hz=float(payload.get("center_hz", 0.0)))
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"grid: {exc}") from exc
+        raise DataFormatError(f"{where}: {name}: {exc}") from exc
 
 
-def params_to_json(params: QuadrupolarParams) -> dict:
-    return {"cq_hz": params.cq_hz, "eta": params.eta,
-            "delta_iso_hz": params.delta_iso_hz, "spin": params.spin,
-            "spin_rate_hz": params.spin_rate_hz,
-            "gaussian_broaden": params.gaussian_broaden}
-
-def params_from_json(payload: dict) -> QuadrupolarParams:
-    try:
-        return QuadrupolarParams(
-            cq_hz=float(_require(payload, "cq_hz")),
-            eta=float(_require(payload, "eta")),
-            delta_iso_hz=float(_require(payload, "delta_iso_hz")),
-            spin=float(payload.get("spin", 1.5)),
-            spin_rate_hz=float(payload.get("spin_rate_hz", 10_000.0)),
-            gaussian_broaden=float(_require(payload, "gaussian_broaden")))
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"params: {exc}") from exc
+@lru_cache(maxsize=None)
+def _schema(cls) -> tuple:
+    """(name, decoder, required) for each field of dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return tuple((item.name, _decoder(hints[item.name]),
+                  item.default is dataclasses.MISSING
+                  and item.default_factory is dataclasses.MISSING)
+                 for item in dataclasses.fields(cls))
 
 
-def grid_spec_to_json(spec: LibraryGridSpec) -> dict:
-    return {"cq_values_hz": list(spec.cq_values_hz),
-            "eta_values": list(spec.eta_values),
-            "shift_values_hz": list(spec.shift_values_hz),
-            "broaden_values": list(spec.broaden_values),
-            "spin": spec.spin, "spin_rate_hz": spec.spin_rate_hz}
+def _decoder(hint):
+    """A function that checks a JSON value against the annotation ``hint``
+    and returns it as the field's Python value."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:                             # Optional[X]
+        inner = _decoder(args[0])
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple:                             # tuple[X, ...]
+        inner = _decoder(args[0])
+        return lambda value: tuple(inner(v) for v in _expect(value, list, "a list"))
+    if hint is tuple:
+        return lambda value: tuple(_expect(value, list, "a list"))
+    if hint is np.ndarray:
+        return lambda value: decode_array(_expect(value, str, "base64 text"))
+    if hint is float:
+        return lambda value: float(_expect(value, (int, float), "a number"))
+    if hint is int:
+        return lambda value: _expect(value, int, "an integer")
+    if hint is str:
+        return lambda value: _expect(value, str, "a string")
+    raise TypeError(f"no JSON form for a field of type {hint!r}")
 
-def grid_spec_from_json(payload: dict) -> LibraryGridSpec:
-    try:
-        return LibraryGridSpec(
-            cq_values_hz=tuple(float(v) for v in _require(payload, "cq_values_hz", list)),
-            eta_values=tuple(float(v) for v in _require(payload, "eta_values", list)),
-            shift_values_hz=tuple(float(v) for v in _require(payload, "shift_values_hz", list)),
-            broaden_values=tuple(float(v) for v in _require(payload, "broaden_values", list)),
-            spin=float(payload.get("spin", 1.5)),
-            spin_rate_hz=float(payload.get("spin_rate_hz", 10_000.0)))
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"grid_spec: {exc}") from exc
+
+def _expect(value, kind, what: str):
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DataFormatError(f"must be {what}, found {value!r:.40}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -131,31 +161,37 @@ def grid_spec_from_json(payload: dict) -> LibraryGridSpec:
 
 def write_library(path, components, grid: SpectrumGrid,
                   grid_spec: Optional[LibraryGridSpec] = None):
-    payload = {
+    """Write ``json.dumps(payload) + "\\n"`` of the library payload, encoding
+    one component at a time so no whole-file text is ever held."""
+    head = json.dumps({
         "format_version": FORMAT_VERSION,
         "kind": "pure_library",
         "manifest": {
             "n_components": len(components),
             "checksum_sha256": library_checksum(components),
-            "grid": grid_to_json(grid),
-            "grid_spec": grid_spec_to_json(grid_spec) if grid_spec else None,
+            "grid": to_json(grid),
+            "grid_spec": to_json(grid_spec) if grid_spec else None,
         },
-        "components": [
-            {"id": comp.id, "params": params_to_json(comp.params),
-             "intensity": encode_array(comp.intensity)}
-            for comp in components
-        ],
-    }
-    write_json(path, payload)
+        "components": [],
+    })
+    # A 1 MB buffer makes one system call per megabyte, not per component.
+    with open(path, "w", encoding="utf-8", newline="\n", buffering=1 << 20) as handle:
+        handle.write(head[:-2])                 # all but the closing "]}"
+        for index, comp in enumerate(components):
+            if index:
+                handle.write(", ")
+            handle.write(json.dumps({"id": comp.id, "params": to_json(comp.params),
+                                     "intensity": encode_array(comp.intensity)}))
+        handle.write("]}\n")
 
 
 def read_library(path):
     payload = read_json(path)
     _check_version(payload, "pure_library")
     manifest = _require(payload, "manifest", dict)
-    grid = grid_from_json(_require(manifest, "grid", dict))
+    grid = from_json(SpectrumGrid, _require(manifest, "grid"), "manifest.grid")
     components = []
-    for entry in _require(payload, "components", list):
+    for index, entry in enumerate(_require(payload, "components", list)):
         intensity = decode_array(_require(entry, "intensity", str), "intensity")
         if intensity.size != grid.n_points:
             raise DataFormatError(
@@ -164,7 +200,8 @@ def read_library(path):
         intensity.setflags(write=False)
         components.append(PureComponent(
             id=_require(entry, "id", str),
-            params=params_from_json(_require(entry, "params", dict)),
+            params=from_json(QuadrupolarParams, _require(entry, "params"),
+                             f"components[{index}].params"),
             grid=grid, intensity=intensity))
     expected = _require(manifest, "checksum_sha256", str)
     actual = library_checksum(components)
@@ -177,34 +214,18 @@ def read_library(path):
 # mixture datasets
 # ---------------------------------------------------------------------------
 
-def _series_to_json(series: IntensitySeries) -> dict:
-    return {"component_id": series.component_id, "model": series.model,
-            "A": series.A, "T1": series.T1, "f": series.f,
-            "values": encode_array(series.values)}
-
-def _series_from_json(payload: dict) -> IntensitySeries:
-    return IntensitySeries(
-        component_id=_require(payload, "component_id", str),
-        model=_require(payload, "model", str),
-        A=float(_require(payload, "A")),
-        T1=None if payload.get("T1") is None else float(payload["T1"]),
-        f=None if payload.get("f") is None else float(payload["f"]),
-        values=decode_array(_require(payload, "values", str), "values"))
-
-
 def write_dataset(path, dataset: MixtureDataset):
     provenance = None
     if dataset.components is not None:
         provenance = {
-            "seed": dataset.seed,
             "model": dataset.components[0].model,
             "noise_factor": dataset.noise_factor,
-            "components": [_series_to_json(s) for s in dataset.components],
+            "components": [to_json(s) for s in dataset.components],
         }
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": "mixture_dataset",
-        "grid": grid_to_json(dataset.grid),
+        "grid": to_json(dataset.grid),
         "normalization": dataset.normalization,
         "spectra": [encode_array(row) for row in dataset.spectra],
         "provenance": provenance,
@@ -215,7 +236,7 @@ def write_dataset(path, dataset: MixtureDataset):
 def read_dataset(path) -> MixtureDataset:
     payload = read_json(path)
     _check_version(payload, "mixture_dataset")
-    grid = grid_from_json(_require(payload, "grid", dict))
+    grid = from_json(SpectrumGrid, _require(payload, "grid"), "grid")
     rows = [decode_array(text, f"spectra[{i}]")
             for i, text in enumerate(_require(payload, "spectra", list))]
     lengths = {row.size for row in rows}
@@ -224,16 +245,15 @@ def read_dataset(path) -> MixtureDataset:
     spectra = np.stack(rows)
 
     components = None
-    seed = None
     noise = 0.0
     provenance = payload.get("provenance")
     if provenance:
-        components = tuple(_series_from_json(entry)
-                           for entry in _require(provenance, "components", list))
-        seed = provenance.get("seed")
+        components = tuple(
+            from_json(IntensitySeries, entry, f"provenance.components[{i}]")
+            for i, entry in enumerate(_require(provenance, "components", list)))
         noise = float(provenance.get("noise_factor", 0.0))
     return MixtureDataset(grid=grid, spectra=spectra, components=components,
-                          noise_factor=noise, seed=seed,
+                          noise_factor=noise,
                           normalization=payload.get("normalization", "none"))
 
 
@@ -249,10 +269,10 @@ def write_component_set(path, result: ComponentSet, grid: Optional[SpectrumGrid]
         "k_requested": result.k,
         "converged": result.converged,
         "runtime_seconds": result.runtime_seconds,
-        "grid": grid_to_json(grid) if grid else None,
+        "grid": to_json(grid) if grid else None,
         "components": [encode_array(row) for row in result.components],
         "coefficients": [encode_array(row) for row in result.coefficients],
-        "meta": _json_safe(result.meta),
+        "meta": result.meta,
     }
     write_json(path, payload)
 
@@ -287,17 +307,3 @@ def write_match_report(path, report: MatchReport):
         "unmatched_pure": report.unmatched_pure,
         "dataset_error": report.dataset_error,
     })
-
-
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value

@@ -37,6 +37,10 @@ import numpy as np
 # the test suite uses an independent dense sum instead of this path.
 ORIENTATIONS = (256, 256)
 
+# The nucleus and spinning rate every library component is simulated with.
+SPIN = 1.5
+SPIN_RATE_HZ = 10_000.0
+
 
 @dataclass(frozen=True)
 class SpectrumGrid:
@@ -69,9 +73,9 @@ class QuadrupolarParams:
     cq_hz: float
     eta: float
     delta_iso_hz: float
-    spin: float = 1.5
-    spin_rate_hz: float = 10_000.0
-    gaussian_broaden: float = 8.0
+    spin: float = SPIN
+    spin_rate_hz: float = SPIN_RATE_HZ
+    gaussian_broaden: float = field(kw_only=True)
 
     def __post_init__(self):
         if self.cq_hz < 0:
@@ -176,11 +180,20 @@ def _gaussian_transfer(padded: int, sigma_bins: float) -> np.ndarray:
     return np.exp(-2.0 * (np.pi * sigma_bins * k / padded) ** 2)
 
 
-def _broaden_padded(padded_spectrum: np.ndarray, sigma_bins: float) -> np.ndarray:
-    """Convolve with a unit-area Gaussian via its exact Fourier transform."""
-    n = padded_spectrum.size
-    transfer = _gaussian_transfer(n, sigma_bins)
-    return np.fft.irfft(np.fft.rfft(padded_spectrum) * transfer, n=n)
+def _render(deposit: np.ndarray, margin: int, n_points: int, widths) -> list:
+    """Read-only window spectra of a padded deposit, one per smoothing width:
+    a unit-area Gaussian convolution through its exact Fourier transform
+    (the forward transform taken once), then crop and clip at zero."""
+    padded = deposit.size
+    spectrum_fft = np.fft.rfft(deposit)
+    windows = []
+    for width in widths:
+        transfer = _gaussian_transfer(padded, broaden_sigma_bins(width, n_points))
+        smoothed = np.fft.irfft(spectrum_fft * transfer, n=padded)
+        window = np.maximum(smoothed[margin:margin + n_points], 0.0)
+        window.setflags(write=False)
+        windows.append(window)
+    return windows
 
 
 def broaden_sigma_bins(width: float, n_points: int) -> float:
@@ -200,11 +213,7 @@ def simulate_pure(params: QuadrupolarParams, grid: SpectrumGrid,
     """
     freqs = crystallite_frequencies(params, grid)
     deposit, margin = _deposit_sticks(freqs, grid)
-    sigma = broaden_sigma_bins(params.gaussian_broaden, grid.n_points)
-    smoothed = _broaden_padded(deposit, sigma)
-    window = smoothed[margin:margin + grid.n_points]
-    intensity = np.maximum(window, 0.0)
-    intensity.setflags(write=False)
+    [intensity] = _render(deposit, margin, grid.n_points, [params.gaussian_broaden])
     return PureComponent(id=component_id, params=params, grid=grid,
                          intensity=intensity)
 
@@ -216,28 +225,34 @@ def simulate_pure(params: QuadrupolarParams, grid: SpectrumGrid,
 DEFAULT_GRID = SpectrumGrid(n_points=1024, sweep_width_hz=10_000.0,
                             larmor_hz=100e6, center_hz=0.0)
 
+# Span of the default grid's cq axis (from 0) and isotropic shift axis
+# (centered on the window).
+CQ_MAX_HZ = 4e6
+SHIFT_SPAN_HZ = 7_500.0
+
 
 @dataclass(frozen=True)
 class LibraryGridSpec:
     """Cartesian parameter grid from which a pure-component library is built."""
 
-    cq_values_hz: tuple
-    eta_values: tuple
-    shift_values_hz: tuple
-    broaden_values: tuple
-    spin: float = 1.5
-    spin_rate_hz: float = 10_000.0
+    cq_values_hz: tuple[float, ...]
+    eta_values: tuple[float, ...]
+    shift_values_hz: tuple[float, ...]
+    broaden_values: tuple[float, ...]
+    spin: float = SPIN
+    spin_rate_hz: float = SPIN_RATE_HZ
 
     def __post_init__(self):
         for name in ("cq_values_hz", "eta_values", "shift_values_hz",
                      "broaden_values"):
-            if len(getattr(self, name)) == 0:
+            values = tuple(float(v) for v in getattr(self, name))
+            if not values:
                 raise ValueError(f"{name} must not be empty")
+            object.__setattr__(self, name, values)
 
     @classmethod
-    def from_counts(cls, n_cq=40, cq_max_hz=4e6, n_eta=10, n_shift=10,
-                    shift_span_hz=7_500.0, broaden_exponents=range(3, 11),
-                    spin=1.5, spin_rate_hz=10_000.0) -> "LibraryGridSpec":
+    def from_counts(cls, n_cq=40, n_eta=10, n_shift=10,
+                    broaden_exponents=range(3, 11)) -> "LibraryGridSpec":
         """Evenly spaced grid, endpoints inclusive on every axis.
 
         Defaults: 40 cq steps on [0, 4 MHz], 10 eta steps on [0, 1], 10
@@ -248,13 +263,11 @@ class LibraryGridSpec:
         if min(n_cq, n_eta, n_shift) < 1 or len(exponents) < 1:
             raise ValueError("every grid dimension needs at least one step")
         return cls(
-            cq_values_hz=tuple(np.linspace(0.0, cq_max_hz, n_cq)),
+            cq_values_hz=tuple(np.linspace(0.0, CQ_MAX_HZ, n_cq)),
             eta_values=tuple(np.linspace(0.0, 1.0, n_eta)),
             shift_values_hz=tuple(
-                np.linspace(-shift_span_hz / 2.0, shift_span_hz / 2.0, n_shift)),
-            broaden_values=tuple(float(2 ** n) for n in exponents),
-            spin=spin,
-            spin_rate_hz=spin_rate_hz,
+                np.linspace(-SHIFT_SPAN_HZ / 2.0, SHIFT_SPAN_HZ / 2.0, n_shift)),
+            broaden_values=tuple(2 ** n for n in exponents),
         )
 
     def component_id(self, i_cq: int, i_eta: int, i_shift: int,
@@ -287,14 +300,8 @@ def generate_library(grid_spec: LibraryGridSpec, grid: SpectrumGrid = DEFAULT_GR
         base = grid_spec.params_at(i_cq, i_eta, i_shift, 0)
         freqs = crystallite_frequencies(base, grid)
         deposit, margin = _deposit_sticks(freqs, grid)
-        spectrum_fft = np.fft.rfft(deposit)
-        padded = deposit.size
-        for i_b, width in enumerate(grid_spec.broaden_values):
-            sigma = broaden_sigma_bins(width, grid.n_points)
-            transfer = _gaussian_transfer(padded, sigma)
-            smoothed = np.fft.irfft(spectrum_fft * transfer, n=padded)
-            intensity = np.maximum(smoothed[margin:margin + grid.n_points], 0.0)
-            intensity.setflags(write=False)
+        windows = _render(deposit, margin, grid.n_points, grid_spec.broaden_values)
+        for i_b, intensity in enumerate(windows):
             components.append(PureComponent(
                 id=grid_spec.component_id(i_cq, i_eta, i_shift, i_b),
                 params=grid_spec.params_at(i_cq, i_eta, i_shift, i_b),

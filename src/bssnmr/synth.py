@@ -58,7 +58,6 @@ class MixtureDataset:
     spectra: np.ndarray = field(repr=False)
     components: Optional[tuple] = None
     noise_factor: float = 0.0
-    seed: Optional[int] = None
     normalization: str = "none"
 
     def __post_init__(self):
@@ -186,10 +185,8 @@ def assemble_dataset(pures: Sequence[PureComponent], model: str, rng_seed: int,
     spectra = weights @ pure_matrix
     if noise_factor > 0:
         spectra = spectra + rng.normal(0.0, noise_factor, size=spectra.shape)
-    seed = int(rng_seed) if isinstance(rng_seed, (int, np.integer)) else None
     return MixtureDataset(grid=grid, spectra=spectra, components=tuple(series),
-                          noise_factor=noise_factor, seed=seed,
-                          normalization="none")
+                          noise_factor=noise_factor, normalization="none")
 
 
 def normalize(dataset: MixtureDataset, mode: str) -> MixtureDataset:

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bssnmr import bench, fileio, synth
-from bssnmr.cli import _plan_from_json, main
+from bssnmr import bench, bss, fileio, synth
+from bssnmr import lineshape as ls
+from bssnmr.cli import main
 from bssnmr.errors import DataFormatError, NumericalFailure
 
 TINY_SPEC = {
@@ -305,8 +306,11 @@ def test_bench_refuses_plan_before_any_record(tmp_path, tiny_library, axis,
 
 def test_committed_fixed_plan_and_grid():
     plans = Path(__file__).resolve().parents[1] / "plans"
-    plan = _plan_from_json(plans / "fixed.json")
-    spec = fileio.grid_spec_from_json(fileio.read_json(plans / "fixed_grid.json"))
+    plan = fileio.from_json(bench.BenchmarkPlan,
+                            fileio.read_json(plans / "fixed.json"), "fixed.json")
+    spec = fileio.from_json(ls.LibraryGridSpec,
+                            fileio.read_json(plans / "fixed_grid.json"),
+                            "fixed_grid.json")
     assert len(list(plan.dataset_keys())) == 12
     assert plan.records_per_dataset == 120
     assert (len(spec.cq_values_hz) * len(spec.eta_values)
@@ -340,11 +344,102 @@ def test_dataset_round_trip(tmp_path, small_library):
     assert np.array_equal(loaded.spectra, ds.spectra)
     assert ([s.component_id for s in loaded.components]
             == [s.component_id for s in ds.components])
-    assert loaded.seed == ds.seed
     assert loaded.noise_factor == ds.noise_factor
     for a, b in zip(loaded.components, ds.components):
         assert np.array_equal(a.values, b.values)
         assert a.f == b.f and a.T1 == b.T1
+
+
+@pytest.mark.parametrize("n_components", [0, 1, 5])
+def test_streamed_library_is_one_json_dumps(tmp_path, small_library, grid,
+                                            n_components):
+    pures = small_library[:n_components]
+    spec = ls.LibraryGridSpec.from_counts(n_cq=1, n_eta=1, n_shift=1)
+    path = tmp_path / "lib.json"
+    fileio.write_library(path, pures, grid, spec)
+    payload = {
+        "format_version": 1, "kind": "pure_library",
+        "manifest": {"n_components": n_components,
+                     "checksum_sha256": ls.library_checksum(pures),
+                     "grid": fileio.to_json(grid),
+                     "grid_spec": fileio.to_json(spec)},
+        "components": [{"id": c.id, "params": fileio.to_json(c.params),
+                        "intensity": fileio.encode_array(c.intensity)}
+                       for c in pures],
+    }
+    assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+
+
+STORED = {
+    ls.SpectrumGrid: {"n_points": 1024, "sweep_width_hz": 10_000.0,
+                      "larmor_hz": 1e8, "center_hz": 0.0},
+    ls.QuadrupolarParams: {"cq_hz": 2e6, "eta": 0.5, "delta_iso_hz": -100.0,
+                           "spin": 1.5, "spin_rate_hz": 1e4,
+                           "gaussian_broaden": 8.0},
+    ls.LibraryGridSpec: dict(TINY_SPEC, spin=1.5, spin_rate_hz=1e4),
+    synth.IntensitySeries: {"component_id": "c0", "model": "nutation", "A": 0.5,
+                            "values": fileio.encode_array(np.ones(20)),
+                            "T1": None, "f": 0.6},
+    bench.BenchmarkPlan: {"master_seed": 5, "n_datasets_per_cell": 2,
+                          "models": ["inversion"], "noise_levels": [0.0],
+                          "component_count_modes": ["fixed4"],
+                          "normalizations": ["none"], "techniques": ["svd"],
+                          "k_offsets": [0, 1]},
+}
+DROP = object()
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (ls.SpectrumGrid, "bogus", 1),
+    (ls.SpectrumGrid, "larmor_hz", DROP),
+    (ls.SpectrumGrid, "sweep_width_hz", "8"),
+    (ls.SpectrumGrid, "n_points", 1024.5),
+    (ls.SpectrumGrid, "n_points", True),
+    (ls.QuadrupolarParams, "bogus", 1),
+    (ls.QuadrupolarParams, "gaussian_broaden", DROP),
+    (ls.QuadrupolarParams, "cq_hz", "8"),
+    (ls.LibraryGridSpec, "bogus", 1),
+    (ls.LibraryGridSpec, "eta_values", DROP),
+    (ls.LibraryGridSpec, "cq_values_hz", [0.0, "8"]),
+    (ls.LibraryGridSpec, "broaden_values", 8.0),
+    (synth.IntensitySeries, "bogus", 1),
+    (synth.IntensitySeries, "values", DROP),
+    (synth.IntensitySeries, "A", "8"),
+    (synth.IntensitySeries, "values", "not base64!"),
+    (bench.BenchmarkPlan, "bogus", 1),
+    (bench.BenchmarkPlan, "master_seed", "7"),
+    (bench.BenchmarkPlan, "n_datasets_per_cell", 1.5),
+])
+def test_reader_refuses_bad_field(cls, field, value):
+    payload = dict(STORED[cls])
+    if value is DROP:
+        del payload[field]
+    else:
+        payload[field] = value
+    with pytest.raises(DataFormatError, match=f"{cls.__name__}.*{field}"):
+        fileio.from_json(cls, payload, "test")
+
+
+@pytest.mark.parametrize("cls", list(STORED))
+def test_reader_round_trips_every_stored_type(cls):
+    assert fileio.to_json(fileio.from_json(cls, STORED[cls], "test")) == STORED[cls]
+    with pytest.raises(DataFormatError, match=cls.__name__):
+        fileio.from_json(cls, [STORED[cls]], "test")
+
+
+def test_reader_takes_int_for_float():
+    grid = fileio.from_json(ls.SpectrumGrid, {"n_points": 8, "sweep_width_hz": 100,
+                                              "larmor_hz": 10**8}, "test")
+    assert type(grid.sweep_width_hz) is float and type(grid.center_hz) is float
+    assert grid == ls.SpectrumGrid(8, 100.0, 1e8)
+
+
+@pytest.mark.parametrize("technique", tuple(bss.TECHNIQUES))
+def test_component_set_meta_is_plain_json(small_library, technique):
+    pures = synth.sample_components(small_library, 4, 2)
+    dataset = synth.assemble_dataset(pures, "inversion", 2, noise_factor=3e-4)
+    for k in (1, 4, 8):
+        json.dumps(bss.decompose(dataset, technique, k, seed=1).meta)
 
 
 def test_corrupted_library_rejected(tmp_path, tiny_library):

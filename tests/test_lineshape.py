@@ -107,7 +107,8 @@ def test_simulate_nonnegative_and_unit_area(grid):
 
 
 def test_stick_deposit_unit_mass(grid):
-    params = ls.QuadrupolarParams(cq_hz=5e5, eta=0.2, delta_iso_hz=100.0)
+    params = ls.QuadrupolarParams(cq_hz=5e5, eta=0.2, delta_iso_hz=100.0,
+                                  gaussian_broaden=8.0)
     freqs = ls.crystallite_frequencies(params, grid)
     deposit, _ = ls._deposit_sticks(freqs, grid)
     assert abs(deposit.sum() - 1.0) < 1e-9
@@ -116,7 +117,8 @@ def test_stick_deposit_unit_mass(grid):
 def test_spin_five_halves_shift_constant():
     # for I = 5/2 the central-transition center-of-gravity shift reduces to
     # the familiar -(6e-3) * cq^2 / nu_0 rule of thumb at eta = 0
-    params = ls.QuadrupolarParams(cq_hz=3e6, eta=0.0, delta_iso_hz=0.0, spin=2.5)
+    params = ls.QuadrupolarParams(cq_hz=3e6, eta=0.0, delta_iso_hz=0.0, spin=2.5,
+                                  gaussian_broaden=8.0)
     got = ls.isotropic_second_order_shift_hz(params, 104.3e6)
     ref = -(6.0 / 1000.0) * (3e6) ** 2 / 104.3e6
     assert abs(got - ref) < 1e-9 * abs(ref)
@@ -124,11 +126,14 @@ def test_spin_five_halves_shift_constant():
 
 def test_invalid_params_rejected(grid):
     with pytest.raises(ValueError):
-        ls.QuadrupolarParams(cq_hz=-1.0, eta=0.0, delta_iso_hz=0.0)
+        ls.QuadrupolarParams(cq_hz=-1.0, eta=0.0, delta_iso_hz=0.0,
+                             gaussian_broaden=8.0)
     with pytest.raises(ValueError):
-        ls.QuadrupolarParams(cq_hz=0.0, eta=1.5, delta_iso_hz=0.0)
+        ls.QuadrupolarParams(cq_hz=0.0, eta=1.5, delta_iso_hz=0.0,
+                             gaussian_broaden=8.0)
     with pytest.raises(ValueError):
-        ls.QuadrupolarParams(cq_hz=0.0, eta=0.0, delta_iso_hz=0.0, spin=1.0)
+        ls.QuadrupolarParams(cq_hz=0.0, eta=0.0, delta_iso_hz=0.0, spin=1.0,
+                             gaussian_broaden=8.0)
     with pytest.raises(ValueError):
         ls.QuadrupolarParams(cq_hz=0.0, eta=0.0, delta_iso_hz=0.0,
                              gaussian_broaden=0.0)
@@ -142,13 +147,14 @@ def test_invalid_params_rejected(grid):
 
 def broaden(intensity, width):
     """Broaden a spectrum vector as simulate_pure does: zero-pad it to the
-    padded length, smooth, and crop back to the window."""
+    padded length, smooth, crop back to the window and clip at zero."""
     n = intensity.size
     padded = ls._padded_length(n)
     margin = (padded - n) // 2
     buf = np.zeros(padded)
     buf[margin:margin + n] = intensity
-    return ls._broaden_padded(buf, ls.broaden_sigma_bins(width, n))[margin:margin + n]
+    [window] = ls._render(buf, margin, n, [width])
+    return window
 
 
 def test_broaden_impulse_response():

@@ -127,8 +127,11 @@ def cmd_decompose(in_path, technique, k, normalization, seed, out_path):
               help="Also write one predicted-over-pure overlay SVG per match.")
 def cmd_score(predicted_path, pure_path, out_path, svg_dir):
     """Match predicted components against pure components and quantify errors."""
-    result = fileio.read_component_set(predicted_path)
+    result, result_grid = fileio.read_component_set(predicted_path)
     pures, grid, _ = fileio.read_library(pure_path)
+    if result_grid is not None and result_grid != grid:
+        raise DataFormatError(f"predicted components are on {result_grid}, "
+                              f"pure components on {grid}")
     if result.components.shape[1] != grid.n_points:
         raise DataFormatError(
             f"predicted components have {result.components.shape[1]} points, "

@@ -162,7 +162,9 @@ def _expect(value, kind, what: str):
 def write_library(path, components, grid: SpectrumGrid,
                   grid_spec: Optional[LibraryGridSpec] = None):
     """Write ``json.dumps(payload) + "\\n"`` of the library payload, encoding
-    one component at a time so no whole-file text is ever held."""
+    one component at a time so no whole-file text is ever held.  Only the id
+    and the parameters go through ``json.dumps``: base64 text needs no JSON
+    escaping, so the intensity is written as it is."""
     head = json.dumps({
         "format_version": FORMAT_VERSION,
         "kind": "pure_library",
@@ -180,8 +182,9 @@ def write_library(path, components, grid: SpectrumGrid,
         for index, comp in enumerate(components):
             if index:
                 handle.write(", ")
-            handle.write(json.dumps({"id": comp.id, "params": to_json(comp.params),
-                                     "intensity": encode_array(comp.intensity)}))
+            handle.write('{"id": %s, "params": %s, "intensity": "%s"}' % (
+                json.dumps(comp.id), json.dumps(to_json(comp.params)),
+                encode_array(comp.intensity)))
         handle.write("]}\n")
 
 
@@ -190,8 +193,13 @@ def read_library(path):
     _check_version(payload, "pure_library")
     manifest = _require(payload, "manifest", dict)
     grid = from_json(SpectrumGrid, _require(manifest, "grid"), "manifest.grid")
+    entries = _require(payload, "components", list)
+    stated = _require(manifest, "n_components", int)
+    if stated != len(entries):
+        raise DataFormatError(f"manifest.n_components is {stated}, but the file "
+                              f"holds {len(entries)} components")
     components = []
-    for index, entry in enumerate(_require(payload, "components", list)):
+    for index, entry in enumerate(entries):
         intensity = decode_array(_require(entry, "intensity", str), "intensity")
         if intensity.size != grid.n_points:
             raise DataFormatError(
@@ -277,7 +285,9 @@ def write_component_set(path, result: ComponentSet, grid: Optional[SpectrumGrid]
     write_json(path, payload)
 
 
-def read_component_set(path) -> ComponentSet:
+def read_component_set(path) -> tuple:
+    """The component set in ``path`` and the grid its rows are sampled on,
+    or None for a file written without one."""
     payload = read_json(path)
     _check_version(payload, "component_set")
     comps = np.stack([decode_array(t, f"components[{i}]")
@@ -289,11 +299,14 @@ def read_component_set(path) -> ComponentSet:
         raise DataFormatError(f"k_requested {k} != {comps.shape[0]} component rows")
     technique = _require(payload, "technique", str)
     parse_technique(technique)
+    grid = payload.get("grid")
+    if grid is not None:
+        grid = from_json(SpectrumGrid, grid, "grid")
     return ComponentSet(
         components=comps, coefficients=coeff, technique=technique,
         converged=bool(_require(payload, "converged")),
         runtime_seconds=float(payload.get("runtime_seconds", 0.0)),
-        meta=payload.get("meta") or {})
+        meta=payload.get("meta") or {}), grid
 
 
 def write_match_report(path, report: MatchReport):

@@ -146,38 +146,85 @@ def _padded_length(n_points: int) -> int:
     return 1 << int(np.ceil(np.log2(2 * n_points)))
 
 
-def _deposit_sticks(freqs_hz: np.ndarray, grid: SpectrumGrid):
+def _deposit_scratch(n_sticks: int):
+    """Work space for :func:`_deposit_sticks` over ``n_sticks`` sticks: six
+    float rows, a stick-index vector and a keep mask, reused point by point."""
+    return (np.empty((6, n_sticks)), np.empty(n_sticks, dtype=np.intp),
+            np.empty((2, n_sticks), dtype=bool))
+
+
+def _deposit_sticks(freqs_hz: np.ndarray, grid: SpectrumGrid, scratch):
     """Bin crystallite sticks onto the zero-padded grid.
 
     The 4-point Lagrange kernel reproduces cubic polynomials exactly, so
     the deposit carries the same mean, variance and third moment as the
     ideal sticks.  Sticks landing outside the padded region are dropped;
     total mass is normalized to 1 over the infinite line before any loss.
+
+    Works in ``scratch`` from :func:`_deposit_scratch`.  The weights are
+    the textbook products ``w * (-t*(t-1)*(t-2)/6)``, ``w * ((t+1)*(t-1)*
+    (t-2)/2)``, ``w * (-(t+1)*t*(t-2)/2)`` and ``w * ((t+1)*t*(t-1)/6)``
+    rearranged only by exact identities (a sign moved onto ``w``, ``/2`` as
+    ``*0.5``, ``(t+1)*t`` shared), so every bit is as the textbook form gives.
     """
+    rows, index, keep = scratch
     padded = _padded_length(grid.n_points)
     margin = (padded - grid.n_points) // 2
     start = grid.center_hz - grid.sweep_width_hz / 2.0
-    pos = (freqs_hz - start) / grid.bin_spacing_hz + margin
+    pos = np.subtract(freqs_hz, start, out=rows[0])
+    pos /= grid.bin_spacing_hz
+    pos += margin
 
-    keep = (pos >= 1.0) & (pos < padded - 2.0)
-    pos = pos[keep]
-    base = np.floor(pos).astype(np.intp)
-    t = pos - base
+    np.greater_equal(pos, 1.0, out=keep[0])
+    np.less(pos, padded - 2.0, out=keep[1])
+    np.logical_and(keep[0], keep[1], out=keep[0])
+    n = np.count_nonzero(keep[0])
+    t, tm1, tm2, tp1, wa, wb = (row[:n] for row in rows)
+    # Selecting costs about as much as the arithmetic, and most points drop
+    # no stick.
+    if n < pos.size:
+        pos = np.compress(keep[0], pos, out=tm1)
+    base = np.floor(pos, out=tm2)
+    index = index[:n]
+    index[...] = base
+    np.subtract(pos, base, out=t)
+    np.subtract(t, 1.0, out=tm1)
+    np.subtract(t, 2.0, out=tm2)
+    np.add(t, 1.0, out=tp1)
 
     w = 1.0 / freqs_hz.size
-    tm1, tm2 = t - 1.0, t - 2.0
-    spectrum = (
-        np.bincount(base - 1, weights=w * (-t * tm1 * tm2 / 6.0), minlength=padded)
-        + np.bincount(base, weights=w * ((t + 1.0) * tm1 * tm2 / 2.0), minlength=padded)
-        + np.bincount(base + 1, weights=w * (-(t + 1.0) * t * tm2 / 2.0), minlength=padded)
-        + np.bincount(base + 2, weights=w * ((t + 1.0) * t * tm1 / 6.0), minlength=padded)
-    )
+    np.multiply(t, tm1, out=wa)
+    wa *= tm2
+    wa /= 6.0
+    wa *= -w
+    np.multiply(tp1, tm1, out=wb)
+    wb *= tm2
+    wb *= 0.5
+    wb *= w
+    index -= 1
+    spectrum = np.bincount(index, weights=wa, minlength=padded)
+    index += 1
+    spectrum += np.bincount(index, weights=wb, minlength=padded)
+    tp1 *= t                                    # (t+1)*t
+    np.multiply(tp1, tm2, out=wa)
+    wa *= 0.5
+    wa *= -w
+    np.multiply(tp1, tm1, out=wb)
+    wb /= 6.0
+    wb *= w
+    index += 1
+    spectrum += np.bincount(index, weights=wa, minlength=padded)
+    index += 1
+    spectrum += np.bincount(index, weights=wb, minlength=padded)
     return spectrum, margin
 
 
+@lru_cache(maxsize=64)
 def _gaussian_transfer(padded: int, sigma_bins: float) -> np.ndarray:
     k = np.arange(padded // 2 + 1)
-    return np.exp(-2.0 * (np.pi * sigma_bins * k / padded) ** 2)
+    transfer = np.exp(-2.0 * (np.pi * sigma_bins * k / padded) ** 2)
+    transfer.setflags(write=False)
+    return transfer
 
 
 def _render(deposit: np.ndarray, margin: int, n_points: int, widths) -> list:
@@ -212,7 +259,7 @@ def simulate_pure(params: QuadrupolarParams, grid: SpectrumGrid,
     Deterministic: identical inputs give bit-identical spectra.
     """
     freqs = crystallite_frequencies(params, grid)
-    deposit, margin = _deposit_sticks(freqs, grid)
+    deposit, margin = _deposit_sticks(freqs, grid, _deposit_scratch(freqs.size))
     [intensity] = _render(deposit, margin, grid.n_points, [params.gaussian_broaden])
     return PureComponent(id=component_id, params=params, grid=grid,
                          intensity=intensity)
@@ -293,13 +340,14 @@ def generate_library(grid_spec: LibraryGridSpec, grid: SpectrumGrid = DEFAULT_GR
     calling :func:`simulate_pure` point by point.
     """
     components = []
+    scratch = _deposit_scratch(ORIENTATIONS[0] * ORIENTATIONS[1])
     indices = product(range(len(grid_spec.cq_values_hz)),
                       range(len(grid_spec.eta_values)),
                       range(len(grid_spec.shift_values_hz)))
     for i_cq, i_eta, i_shift in indices:
         base = grid_spec.params_at(i_cq, i_eta, i_shift, 0)
         freqs = crystallite_frequencies(base, grid)
-        deposit, margin = _deposit_sticks(freqs, grid)
+        deposit, margin = _deposit_sticks(freqs, grid, scratch)
         windows = _render(deposit, margin, grid.n_points, grid_spec.broaden_values)
         for i_b, intensity in enumerate(windows):
             components.append(PureComponent(

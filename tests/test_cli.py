@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -121,7 +122,8 @@ def test_decompose_writes_component_set(tmp_path, one_dataset):
     assert main(["decompose", "--in", str(dataset_path),
                  "--technique", "simplisma:offset8", "--k", "3",
                  "--out", str(out)]) == 0
-    result = fileio.read_component_set(out)
+    result, grid = fileio.read_component_set(out)
+    assert grid == ls.DEFAULT_GRID
     assert result.components.shape == (3, 1024)
     assert result.coefficients.shape == (20, 3)
     assert result.technique == "simplisma:offset8"
@@ -180,6 +182,24 @@ def test_score_discards_excess_predictions(tmp_path, one_dataset):
     report = fileio.read_json(tmp_path / "report.json")
     assert len(report["pairs"]) == 3
     assert len(report["discarded_predicted"]) == 2
+
+
+def test_score_refuses_a_set_on_another_grid(tmp_path, one_dataset):
+    dataset_path, pures_path = one_dataset
+    pures, grid, _ = fileio.read_library(pures_path)
+    fake = bss.ComponentSet(components=np.stack([p.intensity for p in pures]),
+                            coefficients=np.zeros((20, 3)), technique="svd")
+    other = ls.SpectrumGrid(n_points=1024, sweep_width_hz=99.0, larmor_hz=1e6)
+    cs_path = tmp_path / "other.json"
+    fileio.write_component_set(cs_path, fake, other)
+    assert fileio.read_component_set(cs_path)[1] == other
+    code = main(["score", "--predicted", str(cs_path), "--pure", str(pures_path),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    # Written without a grid, the same rows pass the point-count check.
+    fileio.write_component_set(cs_path, fake)
+    assert main(["score", "--predicted", str(cs_path), "--pure", str(pures_path),
+                 "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_score_mismatched_lengths(tmp_path, one_dataset):
@@ -353,7 +373,10 @@ def test_dataset_round_trip(tmp_path, small_library):
 @pytest.mark.parametrize("n_components", [0, 1, 5])
 def test_streamed_library_is_one_json_dumps(tmp_path, small_library, grid,
                                             n_components):
-    pures = small_library[:n_components]
+    # ids that JSON must escape: a quote, a backslash and a non-ASCII letter
+    marks = ('"', "\\", "\u00e9")
+    pures = [dataclasses.replace(c, id=c.id + marks[i % 3])
+             for i, c in enumerate(small_library[:n_components])]
     spec = ls.LibraryGridSpec.from_counts(n_cq=1, n_eta=1, n_shift=1)
     path = tmp_path / "lib.json"
     fileio.write_library(path, pures, grid, spec)
@@ -442,6 +465,26 @@ def test_component_set_meta_is_plain_json(small_library, technique):
         json.dumps(bss.decompose(dataset, technique, k, seed=1).meta)
 
 
+def test_library_read_and_written_again_is_identical(tmp_path, tiny_library):
+    components, grid, manifest = fileio.read_library(tiny_library)
+    spec = fileio.from_json(ls.LibraryGridSpec, manifest["grid_spec"], "grid_spec")
+    again = tmp_path / "again.json"
+    fileio.write_library(again, components, grid, spec)
+    assert again.read_bytes() == tiny_library.read_bytes()
+
+
+def test_library_with_wrong_component_count_refused(tmp_path, tiny_library):
+    payload = fileio.read_json(tiny_library)
+    assert payload["manifest"]["n_components"] == 16
+    payload["manifest"]["n_components"] = 999
+    bad = tmp_path / "miscounted.json"
+    fileio.write_json(bad, payload)
+    with pytest.raises(DataFormatError, match="999.*16"):
+        fileio.read_library(bad)
+    assert main(["generate-mixtures", "--library", str(bad), "--model", "inversion",
+                 "--count", "1", "--out", str(tmp_path / "mix")]) == 3
+
+
 def test_corrupted_library_rejected(tmp_path, tiny_library):
     payload = fileio.read_json(tiny_library)
     payload["components"][0]["intensity"] = fileio.encode_array(np.zeros(1024))
@@ -457,10 +500,11 @@ def test_component_set_round_trip(tmp_path, one_dataset):
     assert main(["decompose", "--in", str(dataset_path),
                  "--technique", "mcr:nnls:random", "--k", "2", "--seed", "6",
                  "--out", str(out)]) == 0
-    loaded = fileio.read_component_set(out)
+    loaded, grid = fileio.read_component_set(out)
     reloaded_path = tmp_path / "cs2.json"
     fileio.write_component_set(reloaded_path, loaded)
-    a = fileio.read_component_set(reloaded_path)
+    a, no_grid = fileio.read_component_set(reloaded_path)
+    assert grid == ls.DEFAULT_GRID and no_grid is None
     assert np.array_equal(a.components, loaded.components)
     assert np.array_equal(a.coefficients, loaded.coefficients)
     assert a.technique == loaded.technique

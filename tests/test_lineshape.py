@@ -110,8 +110,61 @@ def test_stick_deposit_unit_mass(grid):
     params = ls.QuadrupolarParams(cq_hz=5e5, eta=0.2, delta_iso_hz=100.0,
                                   gaussian_broaden=8.0)
     freqs = ls.crystallite_frequencies(params, grid)
-    deposit, _ = ls._deposit_sticks(freqs, grid)
+    deposit, _ = ls._deposit_sticks(freqs, grid, ls._deposit_scratch(freqs.size))
     assert abs(deposit.sum() - 1.0) < 1e-9
+
+
+def textbook_deposit(freqs_hz, grid):
+    """The stick deposit written out with fresh arrays, as the in-place
+    ``_deposit_sticks`` must reproduce it bit for bit."""
+    padded = ls._padded_length(grid.n_points)
+    margin = (padded - grid.n_points) // 2
+    start = grid.center_hz - grid.sweep_width_hz / 2.0
+    pos = (freqs_hz - start) / grid.bin_spacing_hz + margin
+
+    keep = (pos >= 1.0) & (pos < padded - 2.0)
+    pos = pos[keep]
+    base = np.floor(pos).astype(np.intp)
+    t = pos - base
+
+    w = 1.0 / freqs_hz.size
+    tm1, tm2 = t - 1.0, t - 2.0
+    spectrum = (
+        np.bincount(base - 1, weights=w * (-t * tm1 * tm2 / 6.0), minlength=padded)
+        + np.bincount(base, weights=w * ((t + 1.0) * tm1 * tm2 / 2.0), minlength=padded)
+        + np.bincount(base + 1, weights=w * (-(t + 1.0) * t * tm2 / 2.0), minlength=padded)
+        + np.bincount(base + 2, weights=w * ((t + 1.0) * t * tm1 / 6.0), minlength=padded)
+    )
+    return spectrum, margin, keep.size - pos.size
+
+
+def test_deposit_equals_textbook_formula(grid):
+    # One scratch for every point, in an order that puts points which keep
+    # every stick after points which drop some, as generate_library does.
+    odd = ls.SpectrumGrid(n_points=1025, sweep_width_hz=10_000.0, larmor_hz=100e6)
+    points = [(grid, 0.0, 0.0, 0.0),           # cq 0: every stick at one place
+              (grid, 2.05e6, 0.5, 416.7),
+              (grid, 4e6, 0.0, -5000.0),       # low window edge: drops sticks
+              (grid, 4e6, 1.0, 5000.0),        # high window edge
+              (grid, 4e6, 1.0, -5000.0),
+              (grid, 1e6, 0.3, -5000.0),
+              (grid, 3e6, 0.0, 5000.0),
+              (odd, 4e6, 1.0, -5000.0),        # padded to 4,096: keeps all
+              (odd, 0.0, 1.0, 3750.0)]
+    scratch = ls._deposit_scratch(ls.ORIENTATIONS[0] * ls.ORIENTATIONS[1])
+    dropped = []
+    for where, cq, eta, shift in points:
+        params = ls.QuadrupolarParams(cq, eta, shift, gaussian_broaden=8.0)
+        freqs = ls.crystallite_frequencies(params, where)
+        expected, margin, n_dropped = textbook_deposit(freqs, where)
+        deposit, got_margin = ls._deposit_sticks(freqs, where, scratch)
+        assert got_margin == margin
+        assert np.array_equal(deposit, expected), (cq, eta, shift)
+        dropped.append(n_dropped)
+        if cq == 0.0:
+            assert np.count_nonzero(deposit) <= 4
+    assert dropped[2] > 0 and dropped[4] > 0
+    assert dropped[0] == dropped[1] == dropped[3] == dropped[7] == 0
 
 
 def test_spin_five_halves_shift_constant():
@@ -202,15 +255,24 @@ def test_singleton_grid_matches_direct_call(grid):
 def test_tiny_grid_bit_identical_and_unique_ids(grid):
     spec = ls.LibraryGridSpec.from_counts(n_cq=2, n_eta=2, n_shift=2,
                                           broaden_exponents=(3, 6))
-    lib = ls.generate_library(spec, grid)
-    assert len(lib) == 16
-    assert len({c.id for c in lib}) == 16
-    index = 0
-    for i_cq, i_eta, i_shift in itertools.product(range(2), range(2), range(2)):
-        for i_b in range(2):
-            direct = ls.simulate_pure(spec.params_at(i_cq, i_eta, i_shift, i_b), grid)
-            assert np.array_equal(lib[index].intensity, direct.intensity)
-            index += 1
+    # cq 4 MHz at both window edges: at -5 kHz the deposit drops sticks, and
+    # the +5 kHz point after it keeps them all in the same scratch.
+    edges = ls.LibraryGridSpec(cq_values_hz=(4e6,), eta_values=(0.0, 1.0),
+                               shift_values_hz=(-5000.0, 5000.0),
+                               broaden_values=(8.0, 64.0))
+    for spec, size in ((spec, 16), (edges, 8)):
+        lib = ls.generate_library(spec, grid)
+        assert len(lib) == size
+        assert len({c.id for c in lib}) == size
+        index = 0
+        for i_cq, i_eta, i_shift in itertools.product(
+                range(len(spec.cq_values_hz)), range(len(spec.eta_values)),
+                range(len(spec.shift_values_hz))):
+            for i_b in range(len(spec.broaden_values)):
+                direct = ls.simulate_pure(spec.params_at(i_cq, i_eta, i_shift, i_b),
+                                          grid)
+                assert np.array_equal(lib[index].intensity, direct.intensity)
+                index += 1
 
 
 def test_empty_grid_dimension_rejected():

@@ -302,6 +302,9 @@ def read_component_set(path) -> tuple:
     grid = payload.get("grid")
     if grid is not None:
         grid = from_json(SpectrumGrid, grid, "grid")
+        if comps.shape[1] != grid.n_points:
+            raise DataFormatError(f"component rows of length {comps.shape[1]} "
+                                  f"!= grid n_points {grid.n_points}")
     return ComponentSet(
         components=comps, coefficients=coeff, technique=technique,
         converged=bool(_require(payload, "converged")),

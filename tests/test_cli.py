@@ -196,6 +196,14 @@ def test_score_refuses_a_set_on_another_grid(tmp_path, one_dataset):
     code = main(["score", "--predicted", str(cs_path), "--pure", str(pures_path),
                  "--out", str(tmp_path / "r.json")])
     assert code == 3
+    # A stored grid whose n_points is not the rows' length is refused on read.
+    payload = fileio.read_json(cs_path)
+    payload["grid"]["n_points"] = 2048
+    fileio.write_json(cs_path, payload)
+    with pytest.raises(DataFormatError, match="1024 != grid n_points 2048"):
+        fileio.read_component_set(cs_path)
+    assert main(["score", "--predicted", str(cs_path), "--pure", str(pures_path),
+                 "--out", str(tmp_path / "r.json")]) == 3
     # Written without a grid, the same rows pass the point-count check.
     fileio.write_component_set(cs_path, fake)
     assert main(["score", "--predicted", str(cs_path), "--pure", str(pures_path),

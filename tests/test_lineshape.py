@@ -206,7 +206,7 @@ def broaden(intensity, width):
     margin = (padded - n) // 2
     buf = np.zeros(padded)
     buf[margin:margin + n] = intensity
-    [window] = ls._render(buf, margin, n, [width])
+    [window] = ls._render(buf, margin, n, ls._gaussian_transfers(n, [width]))
     return window
 
 

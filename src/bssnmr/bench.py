@@ -20,7 +20,7 @@ import numpy as np
 from .bss import TECHNIQUES, decompose, parse_technique
 from .errors import NumericalFailure, TechniqueFailure, UndefinedStatistic
 from .numkernel import derive_rng
-from .scoring import best_assignment, overprediction_ratio
+from .scoring import PureStatistics, best_assignment, overprediction_ratio
 from .synth import (MAX_COMPONENTS, MIN_COMPONENTS, MODELS, NOISE_LEVELS,
                     NORMALIZATION_MODES, assemble_dataset, normalize,
                     sample_components)
@@ -127,9 +127,14 @@ def _technique_seed(plan: BenchmarkPlan, dataset_key, tech_index: int,
 
 
 def run_dataset(plan: BenchmarkPlan, library, dataset_key) -> list:
-    """All decomposition records for one dataset across the plan grid."""
+    """All decomposition records for one dataset across the plan grid.
+
+    The dataset is built once, and so are the statistics of its pure
+    components that scoring needs; every record reuses both.
+    """
     _, model, _, noise, _, mode, di = dataset_key
     dataset, pures, true_k = build_dataset(plan, library, dataset_key)
+    pure_stats = PureStatistics(pures)
     records = []
     for norm in plan.normalizations:
         normalized = normalize(dataset, norm)
@@ -146,7 +151,7 @@ def run_dataset(plan: BenchmarkPlan, library, dataset_key) -> list:
                 seed = _technique_seed(plan, dataset_key, ti, oi)
                 try:
                     result = decompose(normalized, technique, k, seed=seed)
-                    report = best_assignment(result, pures)
+                    report = best_assignment(result, pure_stats)
                     record.update(failed=False, error=report.dataset_error,
                                   converged=result.converged,
                                   runtime=result.runtime_seconds)

@@ -42,7 +42,7 @@ def _require(mapping: dict, field: str, kind=None):
     if field not in mapping:
         raise DataFormatError(f"missing required field {field!r}")
     value = mapping[field]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise DataFormatError(f"field {field!r} has the wrong type")
     return value
 

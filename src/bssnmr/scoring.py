@@ -36,23 +36,41 @@ class MatchReport:
     dataset_error: float = 0.0
 
 
-def _affine_fits(predicted: np.ndarray, pures: np.ndarray):
-    """Least-squares fits predicted[i] ~ B + M * pures[j] for every pair.
+class PureStatistics:
+    """The pure-side terms of every affine fit against one set of pure
+    spectra: the stacked (q, n) ``rows``, their ``mean``, the ``centered``
+    rows and their sums of squares ``variance``.
 
-    ``predicted`` is (k, n) and ``pures`` (q, n); returns the (k, q) arrays
-    B, M and lack_of_fit.  Each lack-of-fit is the sum of squares of its
-    explicitly formed residual, so an exact fit comes out at rounding level
-    and never negative.
+    ``pures`` is a sequence of PureComponent or a (q, n) array.  A dataset's
+    pure components are the same for all of its records, so build this once
+    per dataset and pass it to :func:`best_assignment` for each record.
     """
-    pure_mean = pures.mean(axis=1)
-    centered = pures - pure_mean[:, None]
-    variance = np.einsum("jn,jn->j", centered, centered)
-    if np.any(variance == 0.0):
+
+    def __init__(self, pures):
+        self.rows = np.asarray([getattr(p, "intensity", p) for p in pures], dtype=float)
+        if self.rows.ndim != 2 or not len(self.rows):
+            raise ValueError("scoring needs at least one pure spectrum, as (q, n) rows")
+        self.mean = self.rows.mean(axis=1)
+        self.centered = self.rows - self.mean[:, None]
+        self.variance = np.einsum("jn,jn->j", self.centered, self.centered)
+
+
+def _affine_fits(predicted: np.ndarray, pures: PureStatistics):
+    """Least-squares fits predicted[i] ~ B + M * pures.rows[j] for every pair.
+
+    ``predicted`` is (k, n) and ``pures`` holds q rows; returns the (k, q)
+    arrays B, M and lack_of_fit.  Each lack-of-fit is the sum of squares of
+    its explicitly formed residual, so an exact fit comes out at rounding
+    level and never negative.  The residual is built in one (k, q, n) array.
+    """
+    if np.any(pures.variance == 0.0):
         raise DegenerateFitError("pure spectrum is constant; affine fit undefined")
     pred_mean = predicted.mean(axis=1)
-    m = (predicted - pred_mean[:, None]) @ centered.T / variance
-    b = pred_mean[:, None] - m * pure_mean
-    residual = predicted[:, None, :] - (b[:, :, None] + m[:, :, None] * pures)
+    m = (predicted - pred_mean[:, None]) @ pures.centered.T / pures.variance
+    b = pred_mean[:, None] - m * pures.mean
+    residual = np.multiply(m[:, :, None], pures.rows)
+    np.add(b[:, :, None], residual, out=residual)
+    np.subtract(predicted[:, None, :], residual, out=residual)
     return b, m, np.einsum("ijn,ijn->ij", residual, residual)
 
 
@@ -62,7 +80,7 @@ def fit_pair(predicted, pure) -> PairFit:
     pure = np.asarray(pure, dtype=float)
     if predicted.shape != pure.shape or predicted.ndim != 1 or predicted.size < 2:
         raise ValueError("fit_pair expects two equal-length vectors of size >= 2")
-    b, m, lof = _affine_fits(predicted[None, :], pure[None, :])
+    b, m, lof = _affine_fits(predicted[None, :], PureStatistics(pure[None, :]))
     return PairFit(B=float(b[0, 0]), M=float(m[0, 0]), lack_of_fit=float(lof[0, 0]))
 
 
@@ -70,7 +88,8 @@ def best_assignment(predicted, pures) -> MatchReport:
     """Optimal one-to-one matching by maximal summed inverse lack-of-fit.
 
     ``predicted`` is a ComponentSet or a (k, n) array; ``pures`` is a
-    sequence of PureComponent or a (q, n) array.  Every predicted component
+    :class:`PureStatistics`, or a sequence of PureComponent or a (q, n)
+    array, from which one is built.  Every predicted component
     is brought to unit Euclidean norm before fitting, so the reported
     errors do not depend on each technique's arbitrary output scaling and
     are comparable across techniques.  A zero-norm prediction scores zero
@@ -79,18 +98,18 @@ def best_assignment(predicted, pures) -> MatchReport:
     for a perfect fit.  All k x q fits come from one array computation.
     """
     pred_rows = np.asarray(getattr(predicted, "components", predicted), dtype=float)
-    pure_rows = np.asarray(
-        [getattr(p, "intensity", p) for p in pures], dtype=float)
-    if pred_rows.ndim != 2 or pure_rows.ndim != 2 or not len(pred_rows) or not len(pure_rows):
+    if pred_rows.ndim != 2 or not len(pred_rows):
         raise ValueError("best_assignment needs at least one predicted and one pure")
-    if pred_rows.shape[1] != pure_rows.shape[1]:
+    if not isinstance(pures, PureStatistics):
+        pures = PureStatistics(pures)
+    if pred_rows.shape[1] != pures.rows.shape[1]:
         raise ValueError("predicted and pure spectra have different lengths")
 
     norms = np.linalg.norm(pred_rows, axis=1)
     alive = norms > 0.0
     scaled = pred_rows / np.where(alive, norms, 1.0)[:, None]
 
-    b, m, lof = _affine_fits(scaled, pure_rows)
+    b, m, lof = _affine_fits(scaled, pures)
     lof[~alive] = 1.0
     score = np.where(alive[:, None], 1.0 / np.maximum(lof, SCORE_EPSILON), 0.0)
     pairs = assign_max(score)
@@ -102,7 +121,7 @@ def best_assignment(predicted, pures) -> MatchReport:
     report.ensemble_score = float(sum(score[i, j] for i, j in pairs))
     matched_pred, matched_pure = zip(*pairs)
     report.discarded_predicted = sorted(set(range(len(pred_rows))) - set(matched_pred))
-    report.unmatched_pure = sorted(set(range(len(pure_rows))) - set(matched_pure))
+    report.unmatched_pure = sorted(set(range(len(pures.rows))) - set(matched_pure))
     report.dataset_error = dataset_error(report, pred_rows.shape[1])
     return report
 

@@ -79,16 +79,22 @@ class MixtureDataset:
 
 
 def sample_components(library: Sequence[PureComponent], k: int, rng_seed) -> list:
-    """Draw k distinct components by single-pass reservoir sampling."""
+    """Draw k distinct components by single-pass reservoir sampling.
+
+    Entry i past the first k takes one bounded draw j in [0, i]; j < k puts
+    it in reservoir slot j, in entry order.  All n - k draws are made in one
+    ``rng.integers`` call, which gives the same values as one call per entry
+    and leaves ``rng`` in the same state, so a caller that goes on drawing
+    from it sees the same stream.
+    """
     n = len(library)
     if not 1 <= k <= n:
         raise ValueError(f"cannot sample {k} components from a library of {n}")
     rng = seeded_rng(rng_seed)
     reservoir = list(library[:k])
-    for i in range(k, n):
-        j = int(rng.integers(0, i + 1))
-        if j < k:
-            reservoir[j] = library[i]
+    draws = rng.integers(0, np.arange(k + 1, n + 1))
+    for i in np.flatnonzero(draws < k):
+        reservoir[draws[i]] = library[k + i]
     return reservoir
 
 

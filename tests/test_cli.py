@@ -534,6 +534,35 @@ def test_component_set_with_wrong_k_refused(tmp_path, one_dataset):
                  "--out", str(tmp_path / "r.json")]) == 3
 
 
+@pytest.mark.parametrize("field", ["format_version", "k_requested"])
+def test_component_set_with_boolean_integer_refused(tmp_path, one_dataset, field):
+    dataset_path, pures_path = one_dataset
+    out = tmp_path / "cs.json"
+    assert main(["decompose", "--in", str(dataset_path), "--technique", "svd",
+                 "--k", "1", "--out", str(out)]) == 0
+    payload = fileio.read_json(out)
+    payload[field] = True                     # equal to 1 as a Python int
+    fileio.write_json(out, payload)
+    with pytest.raises(DataFormatError, match=field):
+        fileio.read_component_set(out)
+    assert main(["score", "--predicted", str(out), "--pure", str(pures_path),
+                 "--out", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.mark.parametrize("field", ["format_version", "n_components"])
+def test_library_with_boolean_integer_refused(tmp_path, small_library, grid, field):
+    path = tmp_path / "lib.json"
+    spec = ls.LibraryGridSpec.from_counts(n_cq=1, n_eta=1, n_shift=1)
+    fileio.write_library(path, small_library[:1], grid, spec)
+    payload = fileio.read_json(path)
+    (payload if field == "format_version" else payload["manifest"])[field] = True
+    fileio.write_json(path, payload)
+    with pytest.raises(DataFormatError, match=field):
+        fileio.read_library(path)
+    assert main(["generate-mixtures", "--library", str(path), "--model", "inversion",
+                 "--count", "1", "--out", str(tmp_path / "mix")]) == 3
+
+
 def test_match_report_round_trip(tmp_path):
     from bssnmr.scoring import MatchReport, PairFit
     report = MatchReport(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from bssnmr import scoring
+from bssnmr import bss, scoring, synth
 from bssnmr.errors import DegenerateFitError, UndefinedStatistic
 
 
@@ -181,6 +181,48 @@ def test_assignment_discards_excess_predictions():
     assert len(report.pairs) == 2
     assert len(report.discarded_predicted) == 3
     assert not report.unmatched_pure
+
+
+def _broadcast_affine_fits(predicted, pures):
+    """The affine fits with every pure-side term recomputed and the residual
+    formed by broadcasting: the reference for ``scoring._affine_fits``."""
+    pure_mean = pures.mean(axis=1)
+    centered = pures - pure_mean[:, None]
+    variance = np.einsum("jn,jn->j", centered, centered)
+    pred_mean = predicted.mean(axis=1)
+    m = (predicted - pred_mean[:, None]) @ centered.T / variance
+    b = pred_mean[:, None] - m * pure_mean
+    residual = predicted[:, None, :] - (b[:, :, None] + m[:, :, None] * pures)
+    return b, m, np.einsum("ijn,ijn->ij", residual, residual)
+
+
+def test_affine_fits_equal_broadcast_reference():
+    rng = np.random.default_rng(14)
+    for k in range(1, 15):
+        for q in range(1, 11):
+            predicted = rng.standard_normal((k, 300))
+            predicted /= np.linalg.norm(predicted, axis=1)[:, None]
+            predicted[k // 2] = 0.0
+            pures = rng.random((q, 300))
+            got = scoring._affine_fits(predicted, scoring.PureStatistics(pures))
+            want = _broadcast_affine_fits(predicted, pures)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (k, q)
+
+
+def test_best_assignment_same_from_statistics_or_list(small_library):
+    for seed, k in ((1, 2), (2, 4), (3, 10)):
+        pures = synth.sample_components(small_library, 4, seed)
+        dataset = synth.assemble_dataset(pures, "nutation", seed, noise_factor=3e-4)
+        result = bss.decompose(dataset, "svd", k, seed=seed)
+        from_list = scoring.best_assignment(result, pures)
+        from_stats = scoring.best_assignment(result, scoring.PureStatistics(pures))
+        assert from_stats.pairs == from_list.pairs
+        assert from_stats.ensemble_score == from_list.ensemble_score
+        assert from_stats.dataset_error == from_list.dataset_error
+    with pytest.raises(DegenerateFitError):
+        scoring.best_assignment(
+            result, scoring.PureStatistics(np.ones((2, dataset.grid.n_points))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from bssnmr import synth
 from bssnmr.errors import DegenerateRowError
+from bssnmr.numkernel import derive_rng
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +71,28 @@ def test_sample_bounds(small_library):
         synth.sample_components(small_library, 0, 1)
     with pytest.raises(ValueError):
         synth.sample_components(small_library, len(small_library) + 1, 1)
+
+
+def _reservoir_loop(library, k, rng):
+    """Reservoir sampling with one ``rng.integers`` call per entry past k:
+    the reference for the one-call draws of ``sample_components``."""
+    reservoir = list(library[:k])
+    for i in range(k, len(library)):
+        j = int(rng.integers(0, i + 1))
+        if j < k:
+            reservoir[j] = library[i]
+    return reservoir
+
+
+@pytest.mark.parametrize("n", [1, 72, 1600, 32000])
+def test_one_call_draws_equal_the_loop(n):
+    library = [f"c{i}" for i in range(n)]
+    for k in sorted({1, min(4, n), min(10, n), max(1, n // 2), n - 1 or 1, n}):
+        oracle_rng = derive_rng(3, n, k)
+        expected = _reservoir_loop(library, k, oracle_rng)
+        rng = derive_rng(3, n, k)
+        assert synth.sample_components(library, k, rng) == expected, (n, k)
+        assert rng.random() == oracle_rng.random(), (n, k)
 
 
 def test_sample_uniformity():

@@ -130,11 +130,16 @@ def run_dataset(plan: BenchmarkPlan, library, dataset_key) -> list:
     """All decomposition records for one dataset across the plan grid.
 
     The dataset is built once, and so are the statistics of its pure
-    components that scoring needs; every record reuses both.
+    components that scoring needs and the seed of each (technique, k
+    offset), which does not depend on the normalization; every record
+    reuses them.
     """
     _, model, _, noise, _, mode, di = dataset_key
     dataset, pures, true_k = build_dataset(plan, library, dataset_key)
     pure_stats = PureStatistics(pures)
+    seeds = [[_technique_seed(plan, dataset_key, ti, oi)
+              for oi in range(len(plan.k_offsets))]
+             for ti in range(len(plan.techniques))]
     records = []
     for norm in plan.normalizations:
         normalized = normalize(dataset, norm)
@@ -148,9 +153,8 @@ def run_dataset(plan: BenchmarkPlan, library, dataset_key) -> list:
                     "true_k": true_k, "k_used": k,
                     "clamped": k != true_k + k_offset,
                 }
-                seed = _technique_seed(plan, dataset_key, ti, oi)
                 try:
-                    result = decompose(normalized, technique, k, seed=seed)
+                    result = decompose(normalized, technique, k, seed=seeds[ti][oi])
                     report = best_assignment(result, pure_stats)
                     record.update(failed=False, error=report.dataset_error,
                                   converged=result.converged,

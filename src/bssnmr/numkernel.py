@@ -1,16 +1,16 @@
 """Shared numerical primitives.
 
-The thin SVD and the rectangular maximum-weight assignment are delegated
-to numpy/scipy behind small validating wrappers.  The batched nonnegative
-least squares solver and the round-robin Jacobi joint diagonalizer are
-implemented here directly.
+The thin SVD is delegated to numpy behind a small validating wrapper.  The
+batched nonnegative least squares solver, the round-robin Jacobi joint
+diagonalizer and the rectangular maximum-weight assignment are implemented
+here directly, so these numerics need numpy alone.
 """
 
 import functools
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .errors import NumericalFailure
 
@@ -347,16 +347,91 @@ def assign_max(score) -> list:
 
     ``score[i, j]`` is the (finite, nonnegative) reward for pairing row i
     with column j.  Exactly min(rows, cols) pairs are selected, sorted.
-    Solved exactly by scipy's shortest augmenting path method (Crouse,
-    IEEE TAES 52(4), 2016).
+    Solved exactly by the shortest augmenting path method of Crouse (IEEE
+    TAES 52(4), 2016) as scipy's ``linear_sum_assignment(score,
+    maximize=True)`` runs it, step for step and in the same floating-point
+    order, so the two give the same pairs, ties included: a tall matrix is
+    transposed and the scores negated, and :func:`_augmenting_paths`
+    assigns every row of the wide cost matrix.  It runs on Python floats:
+    the matrices scoring builds are at most 14 x 10.
     """
     score = np.asarray(score, dtype=float)
     if score.ndim != 2 or score.size == 0:
         raise ValueError("assign_max expects a non-empty 2-d score matrix")
-    if not np.all(np.isfinite(score)):
+    values = score.ravel().tolist()     # checked as Python floats: faster when small
+    if not all(map(math.isfinite, values)):
         raise ValueError("assign_max scores must be finite")
-    if np.any(score < 0):
+    if min(values) < 0:
         raise ValueError("assign_max scores must be nonnegative")
 
-    rows, cols = scipy.optimize.linear_sum_assignment(score, maximize=True)
-    return sorted(zip(rows.tolist(), cols.tolist()))
+    transpose = score.shape[1] < score.shape[0]
+    cost = np.negative(score.T if transpose else score).tolist()
+    col4row = _augmenting_paths(cost)
+    if transpose:
+        return sorted((j, i) for i, j in enumerate(col4row))
+    return list(enumerate(col4row))
+
+
+def _augmenting_paths(cost) -> list:
+    """Minimum-cost assignment of every row of a wide cost matrix (a list
+    of equal-length rows of floats, no more rows than columns); returns
+    the column of each row.
+
+    A port of scipy's ``rectangular_lsap``: row by row, a Dijkstra search
+    over reduced costs ``min_val + cost - u - v`` (evaluated left to right)
+    finds the shortest path to a free column.  The unvisited columns are
+    listed in reverse order and a visited one is removed by swapping in the
+    last, so a constant matrix is assigned on the diagonal; the lowest
+    reduced cost wins, a free column on ties.  Then the duals u, v are
+    updated and the path is flipped.
+    """
+    n_rows, n_cols = len(cost), len(cost[0])
+    inf = math.inf
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for cur_row in range(n_rows):
+        shortest = [inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        visited_rows, visited_cols = [], []
+        min_val = 0.0
+        i = cur_row
+        while i != -1:
+            visited_rows.append(i)
+            row, u_i = cost[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == inf:
+                raise NumericalFailure("assign_max found no feasible assignment")
+            sink = remaining[index]
+            visited_cols.append(sink)
+            last = remaining.pop()
+            if index < len(remaining):
+                remaining[index] = last
+            i = row4col[sink]                   # -1: a free column ends the path
+
+        u[cur_row] += min_val
+        for i in visited_rows:
+            if i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row

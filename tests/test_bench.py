@@ -1,6 +1,7 @@
 import pytest
+import scipy.optimize
 
-from bssnmr import bench, bss, synth
+from bssnmr import bench, bss, scoring, synth
 from bssnmr.errors import NumericalFailure
 
 
@@ -65,6 +66,48 @@ def test_run_dataset_factors_each_form_once_per_normalization(small_library,
     assert not any(r["failed"] for r in records)
     # five forms (raw, centered, two transposed, nonnegative) x 3 normalizations
     assert 0 < len(calls) <= 15
+
+
+def without_runtime(records):
+    return [{k: v for k, v in r.items() if k != "runtime"} for r in records]
+
+
+def test_normalization_records_do_not_depend_on_the_others_planned(small_library):
+    """Each (technique, k offset) seed is computed once per dataset and
+    shared by the normalizations, which holds because a normalization's
+    records are the same whether the plan lists it alone or with the
+    other two."""
+    seeded = dict(techniques=("fastica", "vca", "nnmf:random", "mcr:ols_als:random"),
+                  k_offsets=(-1, 0, 2), component_count_modes=("fixed4", "random2to10"),
+                  n_datasets_per_cell=1)
+    _, together = bench.run_plan(tiny_plan(normalizations=synth.NORMALIZATION_MODES,
+                                           **seeded), small_library)
+    assert not any(r["failed"] for r in together)
+    for norm in synth.NORMALIZATION_MODES:
+        _, alone = bench.run_plan(tiny_plan(normalizations=(norm,), **seeded),
+                                  small_library)
+        assert without_runtime(alone) == without_runtime(
+            [r for r in together if r["normalization"] == norm])
+
+
+def test_run_dataset_scores_assigned_as_scipy_assigns_them(small_library,
+                                                          monkeypatch):
+    """Every score matrix one dataset's records build, over the full
+    roster at every k offset, gets scipy's pairs."""
+    plan = tiny_plan(normalizations=("none",), techniques=(),
+                     k_offsets=(-2, -1, 0, 1, 2, 3, 4),
+                     component_count_modes=("fixed6",))
+    scores = []
+    real = scoring.assign_max
+    monkeypatch.setattr(scoring, "assign_max",
+                        lambda score: scores.append(score) or real(score))
+    bench.run_dataset(plan, small_library, next(iter(plan.dataset_keys())))
+    assert len(scores) == 20 * 7
+    for score in scores:
+        rows, cols = scipy.optimize.linear_sum_assignment(score, maximize=True)
+        assert real(score) == sorted(zip(rows.tolist(), cols.tolist()))
+    # wide, square and tall matrices all occur
+    assert {s.shape for s in scores} == {(k, 6) for k in range(4, 11)}
 
 
 def test_k_offset_clamped_and_flagged(small_library):

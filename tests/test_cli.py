@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bssnmr
 from bssnmr import bench, bss, fileio, synth
 from bssnmr import lineshape as ls
 from bssnmr.cli import main
@@ -330,6 +334,46 @@ def test_bench_refuses_plan_before_any_record(tmp_path, tiny_library, axis,
     assert main(["bench", "--plan", str(bench_plan_file(tmp_path, **{axis: values})),
                  "--library", str(tiny_library), "--out", str(out)]) == 3
     assert not (out / "records.jsonl").exists()
+
+
+# scipy is a test dependency only: the package must import and run without it
+BLOCK_SCIPY = 'import sys; sys.modules["scipy"] = None\n'
+
+
+def run_python(code, *args):
+    """``python -c code args`` in a fresh interpreter that finds this
+    checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(bssnmr.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_imports_without_scipy():
+    done = run_python(BLOCK_SCIPY + "import scipy")
+    assert done.returncode != 0 and "None in sys.modules" in done.stderr
+    done = run_python(BLOCK_SCIPY + "import bssnmr, bssnmr.cli")
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_no_scipy_module():
+    done = run_python("import sys, bssnmr.cli\n"
+                      "print(sorted(m for m in sys.modules"
+                      " if m == 'scipy' or m.startswith('scipy.')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_bench_without_scipy_writes_the_same_tables(tmp_path, tiny_library):
+    plan_path = bench_plan_file(tmp_path)
+    blocked, with_scipy = tmp_path / "blocked", tmp_path / "with_scipy"
+    done = run_python(BLOCK_SCIPY + "from bssnmr.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "bench", "--plan", plan_path, "--library", tiny_library,
+                      "--out", blocked, "--workers", "2")
+    assert done.returncode == 0, done.stderr
+    assert main(["bench", "--plan", str(plan_path), "--library", str(tiny_library),
+                 "--out", str(with_scipy), "--workers", "1"]) == 0
+    for table in ("table1.csv", "table2.csv", "table3.csv"):
+        assert (blocked / table).read_bytes() == (with_scipy / table).read_bytes()
 
 
 def test_committed_fixed_plan_and_grid():

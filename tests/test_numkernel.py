@@ -355,6 +355,61 @@ def test_assign_max_rectangular():
         assert abs(total - best_total) < 1e-12
 
 
+def scipy_assignment(score):
+    rows, cols = scipy.optimize.linear_sum_assignment(score, maximize=True)
+    return sorted(zip(rows.tolist(), cols.tolist()))
+
+
+def assignment_cases(rng, rows, cols):
+    """Six score matrices of one shape: random, integer ties, tenths (ties
+    up to rounding), all-zero rows, constant, and scores spanning 1e-3 to
+    1e25."""
+    zero_rows = rng.random((rows, cols))
+    zero_rows[rng.random(rows) < 0.4] = 0.0
+    return (rng.random((rows, cols)),
+            rng.integers(0, 4, (rows, cols)).astype(float),
+            rng.integers(0, 10, (rows, cols)) / 10.0,
+            zero_rows,
+            np.full((rows, cols), float(rng.integers(0, 3))),
+            10.0 ** rng.uniform(-3.0, 25.0, (rows, cols)))
+
+
+def test_assign_max_equals_scipy_pair_for_pair():
+    """The port of scipy's shortest augmenting path solver picks scipy's
+    pairs, ties included, on every shape up to 14 x 10 in both
+    orientations: 280 shapes x 15 draws x 6 kinds = 25,200 matrices."""
+    rng = np.random.default_rng(16)
+    checked = 0
+    for rows in range(1, 15):
+        for cols in range(1, 11):
+            for shape in ((rows, cols), (cols, rows)):
+                for _ in range(15):
+                    for score in assignment_cases(rng, *shape):
+                        assert nk.assign_max(score) == scipy_assignment(score), score
+                        checked += 1
+    assert checked == 25_200
+
+
+# Each matrix has two assignments whose sums are equal in tenths; which one
+# comes out follows from the order of every floating-point step, the dual
+# updates included.
+ROUNDING_DECIDES = (
+    [[0.5, 0.7, 0.3, 0.0, 0.1, 0.1, 0.7, 0.6], [0.6, 0.9, 0.5, 0.4, 0.4, 0.7, 0.8, 0.6],
+     [0.5, 0.1, 0.5, 0.2, 0.6, 0.4, 0.4, 0.5], [0.1, 0.2, 0.6, 0.9, 0.5, 0.2, 0.2, 0.9],
+     [0.2, 0.3, 0.1, 0.0, 0.3, 0.0, 0.0, 0.2], [0.2, 0.8, 0.6, 0.5, 0.2, 0.7, 0.4, 0.7],
+     [0.2, 0.9, 0.0, 0.5, 0.0, 0.3, 0.1, 0.4], [0.3, 0.0, 0.6, 0.6, 0.1, 0.6, 0.4, 0.8]],
+    [[0.0, 0.4, 0.2, 0.2], [0.1, 0.5, 0.0, 0.6], [0.1, 0.0, 0.1, 0.2],
+     [0.9, 0.6, 0.8, 0.7], [0.2, 0.2, 0.1, 0.4]],
+)
+
+
+@pytest.mark.parametrize("score", ROUNDING_DECIDES)
+def test_assign_max_rounding_order_as_scipy(score):
+    score = np.array(score)
+    for matrix in (score, score.T):
+        assert nk.assign_max(matrix) == scipy_assignment(matrix)
+
+
 def test_assign_max_validates_input():
     with pytest.raises(ValueError):
         nk.assign_max(np.array([[1.0, -0.5]]))

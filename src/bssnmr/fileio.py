@@ -6,6 +6,7 @@ Validation failures raise DataFormatError naming the offending field.
 """
 
 import base64
+import binascii
 import dataclasses
 import json
 from functools import lru_cache
@@ -29,13 +30,17 @@ def encode_array(values) -> str:
 
 
 def decode_array(text: str, field: str = "array") -> np.ndarray:
+    """The little-endian floats in base64 ``text``, as a read-only array over
+    the decoded bytes."""
+    # strict mode refuses non-alphabet characters and misplaced or excess
+    # padding; a str with a non-ASCII character raises ValueError.
     try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as exc:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{field}: invalid base64 payload") from exc
     if len(raw) % 8 != 0:
         raise DataFormatError(f"{field}: payload length not a multiple of 8")
-    return np.frombuffer(raw, dtype="<f8").astype(float)
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def _require(mapping: dict, field: str, kind=None):
@@ -189,33 +194,147 @@ def write_library(path, components, grid: SpectrumGrid,
 
 
 def read_library(path):
-    payload = read_json(path)
+    """The components, grid and manifest of the library file at ``path``.
+
+    The file is streamed: each component is decoded to its arrays before
+    the next is read, so a read holds neither the file's text nor its whole
+    JSON tree.  Keys may come in any order (the last of a duplicate wins,
+    as in ``json.load``) and data after the closing brace is refused.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = _JsonStream(handle, path).library_payload()
     _check_version(payload, "pure_library")
     manifest = _require(payload, "manifest", dict)
     grid = from_json(SpectrumGrid, _require(manifest, "grid"), "manifest.grid")
+    if manifest.get("grid_spec") is not None:
+        from_json(LibraryGridSpec, manifest["grid_spec"], "manifest.grid_spec")
     entries = _require(payload, "components", list)
     stated = _require(manifest, "n_components", int)
     if stated != len(entries):
         raise DataFormatError(f"manifest.n_components is {stated}, but the file "
                               f"holds {len(entries)} components")
     components = []
-    for index, entry in enumerate(entries):
-        intensity = decode_array(_require(entry, "intensity", str), "intensity")
+    for comp_id, params, intensity in entries:
         if intensity.size != grid.n_points:
             raise DataFormatError(
-                f"component {entry.get('id')!r}: intensity length "
+                f"component {comp_id!r}: intensity length "
                 f"{intensity.size} != n_points {grid.n_points}")
-        intensity.setflags(write=False)
-        components.append(PureComponent(
-            id=_require(entry, "id", str),
-            params=from_json(QuadrupolarParams, _require(entry, "params"),
-                             f"components[{index}].params"),
-            grid=grid, intensity=intensity))
+        components.append(PureComponent(id=comp_id, params=params, grid=grid,
+                                        intensity=intensity))
     expected = _require(manifest, "checksum_sha256", str)
     actual = library_checksum(components)
     if actual != expected:
         raise DataFormatError("library checksum mismatch (file corrupted?)")
     return components, grid, manifest
+
+
+# Characters read from a library file at a time.
+READ_CHUNK = 1 << 20
+# How far short of the end of its text a cut token can stop a decode: a cut
+# literal ("-Infinit") or escape ("\ud83d\ude0") fails where it starts, and
+# a cut number ("1.", "1e") parses short of the cut.
+_CUT_MARGIN = 16
+_WHITESPACE = json.decoder.WHITESPACE
+_DECODER = json.JSONDecoder()
+
+
+class _JsonStream:
+    """JSON values decoded one at a time from a text handle read in chunks
+    of READ_CHUNK characters.  It holds only the text not yet decoded."""
+
+    def __init__(self, handle, path):
+        self.handle, self.path = handle, path
+        self.text = ""
+        self.pos = 0          # next character of ``text`` to decode
+        self.start = 0        # the file position of ``text[0]``
+
+    def _more(self) -> bool:
+        """Drop the decoded text and append the next chunk; False at the end
+        of the file."""
+        chunk = self.handle.read(READ_CHUNK)
+        if not chunk:
+            return False
+        self.start += self.pos
+        self.text = self.text[self.pos:] + chunk
+        self.pos = 0
+        return True
+
+    def error(self, what: str, pos=None) -> DataFormatError:
+        at = self.start + (self.pos if pos is None else pos)
+        return DataFormatError(f"{self.path}: not valid JSON at character {at}: {what}")
+
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.text[self.pos:self.pos + 1]
+
+    def take(self, allowed: str) -> str:
+        """Consume the next character, which must be one of ``allowed``."""
+        char = self.peek()
+        if not char or char not in allowed:
+            raise self.error(f"expecting one of {allowed!r}")
+        self.pos += 1
+        return char
+
+    def value(self):
+        """Decode the next value.  A decode that fails or stops near the end
+        of the text may have met a cut token, so it is retried with the next
+        chunk appended; at the end of the file it stands."""
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError as exc:
+                cut = (exc.msg.startswith("Unterminated string")
+                       or exc.pos + _CUT_MARGIN >= len(self.text))
+                if cut and self._more():
+                    continue
+                raise self.error(exc.msg, exc.pos) from None
+            if end + _CUT_MARGIN < len(self.text) or not self._more():
+                self.pos = end
+                return value
+
+    def members(self, opening: str, closing: str):
+        """Consume a bracketed sequence, yielding before each member; the
+        caller consumes the member."""
+        self.take(opening)
+        if self.peek() == closing:
+            self.pos += 1
+            return
+        while True:
+            yield
+            if self.take("," + closing) == closing:
+                return
+
+    def library_payload(self) -> dict:
+        """The file's top-level object, with a ``components`` list held as
+        (id, params, intensity) per component: each entry is decoded, and
+        its dict and text dropped, before the next is read."""
+        payload = {}
+        for _ in self.members("{", "}"):
+            key = self.value()
+            if not isinstance(key, str):
+                raise self.error("expecting a property name")
+            self.take(":")
+            if key == "components" and self.peek() == "[":
+                payload[key] = [_component_entry(self.value(), index)
+                                for index, _ in enumerate(self.members("[", "]"))]
+            else:
+                payload[key] = self.value()
+        if self.peek():
+            raise self.error("trailing data after the library object")
+        return payload
+
+
+def _component_entry(entry, index: int) -> tuple:
+    where = f"components[{index}]"
+    if not isinstance(entry, dict):
+        raise DataFormatError(f"{where} must be a JSON object")
+    return (_require(entry, "id", str),
+            from_json(QuadrupolarParams, _require(entry, "params"), f"{where}.params"),
+            decode_array(_require(entry, "intensity", str), "intensity"))
 
 
 # ---------------------------------------------------------------------------

@@ -366,5 +366,6 @@ def library_checksum(components) -> str:
     digest = hashlib.sha256()
     for comp in components:
         digest.update(comp.id.encode())
-        digest.update(np.ascontiguousarray(comp.intensity, dtype="<f8").tobytes())
+        # the array's own buffer, not a bytes copy of it
+        digest.update(np.ascontiguousarray(comp.intensity, dtype="<f8"))
     return digest.hexdigest()

@@ -113,17 +113,17 @@ def best_assignment(predicted, pures) -> MatchReport:
     lof[~alive] = 1.0
     score = np.where(alive[:, None], 1.0 / np.maximum(lof, SCORE_EPSILON), 0.0)
     pairs = assign_max(score)
-
-    report = MatchReport()
-    report.pairs = [(i, j, PairFit(B=float(b[i, j]), M=float(m[i, j]),
-                                   lack_of_fit=float(lof[i, j])))
-                    for i, j in pairs]
-    report.ensemble_score = float(sum(score[i, j] for i, j in pairs))
-    matched_pred, matched_pure = zip(*pairs)
-    report.discarded_predicted = sorted(set(range(len(pred_rows))) - set(matched_pred))
-    report.unmatched_pure = sorted(set(range(len(pures.rows))) - set(matched_pure))
-    report.dataset_error = dataset_error(report, pred_rows.shape[1])
-    return report
+    rows, cols = zip(*pairs)
+    # as lists: reading a few numpy scalars costs more than converting all
+    b, m, lof = b.tolist(), m.tolist(), lof.tolist()
+    per_point = [lof[i][j] / pred_rows.shape[1] for i, j in pairs]
+    return MatchReport(
+        pairs=[(i, j, PairFit(b[i][j], m[i][j], lof[i][j])) for i, j in pairs],
+        ensemble_score=float(sum(score[i, j] for i, j in pairs)),
+        discarded_predicted=sorted(set(range(len(pred_rows))).difference(rows)),
+        unmatched_pure=sorted(set(range(len(pures.rows))).difference(cols)),
+        # np.mean's own sum and division: equal to dataset_error() bit for bit
+        dataset_error=float(np.add.reduce(per_point) / len(per_point)))
 
 
 def dataset_error(report: MatchReport, n_points: int) -> float:

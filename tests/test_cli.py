@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import os
@@ -443,6 +444,158 @@ def test_streamed_library_is_one_json_dumps(tmp_path, small_library, grid,
                        for c in pures],
     }
     assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    "AAAAAAAAAAé=",            # non-ASCII
+    "AAAA AAAAAAA=",                # whitespace
+    "AAAAAAAAAAA=\n",
+    "AAAAAAAAAA-_",                 # outside the alphabet
+    "AAAAAAAAAA#A",
+    "=AAAAAAAAAAA",                 # misplaced padding
+    "AAAAAA=AAAAA",
+    "AAAAAAAAAAA==",                # excess padding
+    "AAAAAAAAAAA=AAAA",
+    "AAAAAAAAAAA",                  # missing padding
+    "AAAAAAAAAA==",                 # 7 bytes
+    "AAAAAAAAAAAA",                 # 9 bytes
+])
+def test_decode_array_refuses_bad_payload(text):
+    with pytest.raises(DataFormatError, match="^intensity: "):
+        fileio.decode_array(text, "intensity")
+
+
+SMALL_GRID = ls.SpectrumGrid(64, 10_000.0, 1e8)
+
+
+@pytest.fixture(scope="module")
+def escaped_pures():
+    """16 components on a 64-point grid, with ids that JSON escapes: a
+    quote, a backslash, a non-ASCII letter and a surrogate pair."""
+    spec = ls.LibraryGridSpec.from_counts(n_cq=2, n_eta=2, n_shift=2,
+                                          broaden_exponents=(3, 4))
+    marks = ('"', "\\", "é", "\U0001d11e")
+    return [dataclasses.replace(c, id=c.id + marks[i % 4])
+            for i, c in enumerate(ls.generate_library(spec, SMALL_GRID))]
+
+
+def _relaid(text: str, layout: str) -> str:
+    """The library JSON ``text`` laid out another way that json.load reads
+    as the same library."""
+    if layout == "written":
+        return text
+    payload = json.loads(text)
+    if layout == "indent":
+        return json.dumps(payload, indent=2)
+    if layout == "components_first":
+        # with a top-level number the reader ignores, to be cut mid-number
+        return json.dumps({"components": payload.pop("components"),
+                           "note": -1.25e-3, **payload})
+    assert layout == "duplicates"               # the last of each key wins
+    return '{"components": [], "manifest": {"n_components": 99},\n' + text[1:]
+
+
+def _assert_reads_as_json_load(path):
+    components, grid, manifest = fileio.read_library(path)
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    assert manifest == payload["manifest"]
+    assert grid == fileio.from_json(ls.SpectrumGrid, manifest["grid"], "grid")
+    entries = payload["components"]
+    assert [c.id for c in components] == [e["id"] for e in entries]
+    assert [fileio.to_json(c.params) for c in components] == [e["params"] for e in entries]
+    assert ([c.intensity.tobytes() for c in components]
+            == [base64.b64decode(e["intensity"]) for e in entries])
+    assert all(c.grid is grid and not c.intensity.flags.writeable for c in components)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, fileio.READ_CHUNK])
+@pytest.mark.parametrize("layout", ["written", "indent", "components_first",
+                                    "duplicates"])
+@pytest.mark.parametrize("n_components", [0, 1, 16])
+def test_streamed_read_equals_json_load(tmp_path, monkeypatch, escaped_pures,
+                                        n_components, layout, chunk):
+    written = tmp_path / "written.json"
+    fileio.write_library(written, escaped_pures[:n_components], SMALL_GRID,
+                         ls.LibraryGridSpec.from_counts(n_cq=2, n_eta=2, n_shift=2))
+    path = tmp_path / "lib.json"
+    path.write_text(_relaid(written.read_text(encoding="utf-8"), layout),
+                    encoding="utf-8")
+    monkeypatch.setattr(fileio, "READ_CHUNK", chunk)
+    _assert_reads_as_json_load(path)
+
+
+@pytest.mark.parametrize("chunk", [3, fileio.READ_CHUNK])
+def test_streamed_read_refuses_a_cut_file(tmp_path, monkeypatch, escaped_pures,
+                                          chunk):
+    written = tmp_path / "written.json"
+    fileio.write_library(written, escaped_pures, SMALL_GRID)
+    text = written.read_text(encoding="utf-8")
+    monkeypatch.setattr(fileio, "READ_CHUNK", chunk)
+    cut = tmp_path / "cut.json"
+    # every cut but the last newline's leaves the object open
+    for offset in (0, 1, 9, 50, len(text) // 3, len(text) // 2, len(text) - 3,
+                   len(text) - 2):
+        cut.write_text(text[:offset], encoding="utf-8")
+        with pytest.raises(DataFormatError, match="not valid JSON"):
+            fileio.read_library(cut)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda p: json.dumps(p) + " {}", "trailing data"),
+    (lambda p: json.dumps(p) + "\n\n]", "trailing data"),
+    (lambda p: json.dumps(dict(p, components=p["components"][:1] + [5])),
+     r"components\[1\] must be a JSON object"),
+    (lambda p: json.dumps(dict(p, components=p["components"][:1] + [["x"]])),
+     r"components\[1\] must be a JSON object"),
+    (lambda p: json.dumps(dict(p, components={})), "'components' has the wrong type"),
+    (lambda p: json.dumps(dict(p, components="[]")), "'components' has the wrong type"),
+    (lambda p: json.dumps([p]), "not valid JSON"),
+])
+def test_streamed_read_refuses_malformed_library(tmp_path, escaped_pures, edit,
+                                                 match):
+    path = tmp_path / "lib.json"
+    fileio.write_library(path, escaped_pures[:2], SMALL_GRID)
+    path.write_text(edit(fileio.read_json(path)), encoding="utf-8")
+    with pytest.raises(DataFormatError, match=match):
+        fileio.read_library(path)
+
+
+def test_library_read_needs_little_beyond_its_arrays(tmp_path, small_library, grid):
+    import tracemalloc
+    pures = [dataclasses.replace(small_library[i % 72], id=f"c{i}")
+             for i in range(1_500)]
+    path = tmp_path / "lib.json"
+    fileio.write_library(path, pures, grid)
+    assert path.stat().st_size > 16e6
+    tracemalloc.start()
+    try:
+        components, _, _ = fileio.read_library(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(components) == 1_500
+    assert held > 12e6                   # the decoded arrays, 8 KiB each
+    assert peak - held < 6e6, (held, peak)
+
+
+@pytest.mark.parametrize("spec, accepted", [
+    (None, True),
+    (dict(TINY_SPEC, bogus=1), False),
+    (dict(TINY_SPEC, cq_values_hz="40"), False),
+])
+def test_library_grid_spec_is_checked(tmp_path, tiny_library, spec, accepted):
+    payload = fileio.read_json(tiny_library)
+    payload["manifest"]["grid_spec"] = spec
+    path = tmp_path / "lib.json"
+    fileio.write_json(path, payload)
+    if accepted:
+        assert fileio.read_library(path)[2]["grid_spec"] is None
+        return
+    with pytest.raises(DataFormatError, match="manifest.grid_spec: LibraryGridSpec"):
+        fileio.read_library(path)
+    assert main(["generate-mixtures", "--library", str(path), "--model", "inversion",
+                 "--count", "1", "--out", str(tmp_path / "mix")]) == 3
 
 
 STORED = {

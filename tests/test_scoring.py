@@ -253,6 +253,28 @@ def test_dataset_error_constant_residual():
     assert abs(scoring.dataset_error(report, 64) - 0.25) < 1e-15
 
 
+def test_report_fields_equal_their_pair_by_pair_definitions():
+    rng = np.random.default_rng(15)
+    for k in range(1, 15):
+        for q in range(1, 11):
+            predicted = rng.standard_normal((k, 64))
+            predicted[k // 2] = 0.0
+            report = scoring.best_assignment(predicted, rng.random((q, 64)))
+            assert report.dataset_error == scoring.dataset_error(report, 64), (k, q)
+            assert type(report.dataset_error) is float
+            assert type(report.ensemble_score) is float
+            assert type(report.pairs) is list and len(report.pairs) == min(k, q)
+            for i, j, fit in report.pairs:
+                assert type(i) is int and type(j) is int
+                assert all(type(v) is float for v in (fit.B, fit.M, fit.lack_of_fit))
+            matched_pred = {i for i, _, _ in report.pairs}
+            matched_pure = {j for _, j, _ in report.pairs}
+            assert report.discarded_predicted == [i for i in range(k)
+                                                  if i not in matched_pred]
+            assert report.unmatched_pure == [j for j in range(q)
+                                             if j not in matched_pure]
+
+
 def test_dataset_error_averages_pairs():
     report = scoring.MatchReport(pairs=[
         (0, 0, scoring.PairFit(0.0, 1.0, 10.0)),

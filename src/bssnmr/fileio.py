@@ -36,7 +36,7 @@ def decode_array(text: str, field: str = "array") -> np.ndarray:
     # padding; a str with a non-ASCII character raises ValueError.
     try:
         raw = binascii.a2b_base64(text, strict_mode=True)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataFormatError(f"{field}: invalid base64 payload") from exc
     if len(raw) % 8 != 0:
         raise DataFormatError(f"{field}: payload length not a multiple of 8")
@@ -319,6 +319,9 @@ class _JsonStream:
                 raise self.error("expecting a property name")
             self.take(":")
             if key == "components" and self.peek() == "[":
+                if "format_version" in payload and "kind" in payload:
+                    # another kind of file is refused before any entry is decoded
+                    _check_version(payload, "pure_library")
                 payload[key] = [_component_entry(self.value(), index)
                                 for index, _ in enumerate(self.members("[", "]"))]
             else:

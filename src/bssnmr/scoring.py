@@ -116,14 +116,13 @@ def best_assignment(predicted, pures) -> MatchReport:
     rows, cols = zip(*pairs)
     # as lists: reading a few numpy scalars costs more than converting all
     b, m, lof = b.tolist(), m.tolist(), lof.tolist()
-    per_point = [lof[i][j] / pred_rows.shape[1] for i, j in pairs]
-    return MatchReport(
+    report = MatchReport(
         pairs=[(i, j, PairFit(b[i][j], m[i][j], lof[i][j])) for i, j in pairs],
         ensemble_score=float(sum(score[i, j] for i, j in pairs)),
         discarded_predicted=sorted(set(range(len(pred_rows))).difference(rows)),
-        unmatched_pure=sorted(set(range(len(pures.rows))).difference(cols)),
-        # np.mean's own sum and division: equal to dataset_error() bit for bit
-        dataset_error=float(np.add.reduce(per_point) / len(per_point)))
+        unmatched_pure=sorted(set(range(len(pures.rows))).difference(cols)))
+    report.dataset_error = dataset_error(report, pred_rows.shape[1])
+    return report
 
 
 def dataset_error(report: MatchReport, n_points: int) -> float:

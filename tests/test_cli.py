@@ -561,6 +561,34 @@ def test_streamed_read_refuses_malformed_library(tmp_path, escaped_pures, edit,
         fileio.read_library(path)
 
 
+@pytest.mark.parametrize("header, match", [
+    ({"kind": "component_set"},
+     "expected kind 'pure_library', found 'component_set'"),
+    ({"format_version": 2}, "unsupported format_version 2"),
+])
+def test_library_header_checked_before_any_entry(tmp_path, monkeypatch,
+                                                 escaped_pures, header, match):
+    path = tmp_path / "lib.json"
+    fileio.write_library(path, escaped_pures[:2], SMALL_GRID)
+    fileio.write_json(path, dict(fileio.read_json(path), **header))
+
+    def never(*args):
+        raise AssertionError("an entry was decoded")
+    monkeypatch.setattr(fileio, "decode_array", never)
+    with pytest.raises(DataFormatError, match=match):
+        fileio.read_library(path)
+
+
+def test_component_set_given_as_library_names_its_kind(tmp_path, capsys):
+    from bssnmr.bss import ComponentSet
+    path = tmp_path / "set.json"
+    fileio.write_component_set(path, ComponentSet(
+        components=np.ones((2, 8)), coefficients=np.ones((3, 2)), technique="svd"))
+    assert main(["generate-mixtures", "--library", str(path), "--model", "inversion",
+                 "--count", "1", "--out", str(tmp_path / "mix")]) == 3
+    assert "expected kind 'pure_library', found 'component_set'" in capsys.readouterr().err
+
+
 def test_library_read_needs_little_beyond_its_arrays(tmp_path, small_library, grid):
     import tracemalloc
     pures = [dataclasses.replace(small_library[i % 72], id=f"c{i}")

@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import json
 import os
@@ -49,8 +48,8 @@ def test_generate_pure_checksum_stable(tmp_path, tiny_library):
     other = tmp_path / "lib2.json"
     assert main(["generate-pure", "--grid-spec", str(spec_path),
                  "--out", str(other)]) == 0
-    a = fileio.read_json(tiny_library)["manifest"]["checksum_sha256"]
-    b = fileio.read_json(other)["manifest"]["checksum_sha256"]
+    a = fileio.read_library(tiny_library)[2]["checksum_sha256"]
+    b = fileio.read_library(other)[2]["checksum_sha256"]
     assert a == b
 
 
@@ -423,29 +422,6 @@ def test_dataset_round_trip(tmp_path, small_library):
         assert a.f == b.f and a.T1 == b.T1
 
 
-@pytest.mark.parametrize("n_components", [0, 1, 5])
-def test_streamed_library_is_one_json_dumps(tmp_path, small_library, grid,
-                                            n_components):
-    # ids that JSON must escape: a quote, a backslash and a non-ASCII letter
-    marks = ('"', "\\", "\u00e9")
-    pures = [dataclasses.replace(c, id=c.id + marks[i % 3])
-             for i, c in enumerate(small_library[:n_components])]
-    spec = ls.LibraryGridSpec.from_counts(n_cq=1, n_eta=1, n_shift=1)
-    path = tmp_path / "lib.json"
-    fileio.write_library(path, pures, grid, spec)
-    payload = {
-        "format_version": 1, "kind": "pure_library",
-        "manifest": {"n_components": n_components,
-                     "checksum_sha256": ls.library_checksum(pures),
-                     "grid": fileio.to_json(grid),
-                     "grid_spec": fileio.to_json(spec)},
-        "components": [{"id": c.id, "params": fileio.to_json(c.params),
-                        "intensity": fileio.encode_array(c.intensity)}
-                       for c in pures],
-    }
-    assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
-
-
 @pytest.mark.parametrize("text", [
     "AAAAAAAAAAé=",            # non-ASCII
     "AAAA AAAAAAA=",                # whitespace
@@ -479,84 +455,84 @@ def escaped_pures():
             for i, c in enumerate(ls.generate_library(spec, SMALL_GRID))]
 
 
-def _relaid(text: str, layout: str) -> str:
-    """The library JSON ``text`` laid out another way that json.load reads
-    as the same library."""
-    if layout == "written":
-        return text
-    payload = json.loads(text)
-    if layout == "indent":
-        return json.dumps(payload, indent=2)
-    if layout == "components_first":
-        # with a top-level number the reader ignores, to be cut mid-number
-        return json.dumps({"components": payload.pop("components"),
-                           "note": -1.25e-3, **payload})
-    assert layout == "duplicates"               # the last of each key wins
-    return '{"components": [], "manifest": {"n_components": 99},\n' + text[1:]
-
-
-def _assert_reads_as_json_load(path):
-    components, grid, manifest = fileio.read_library(path)
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert manifest == payload["manifest"]
-    assert grid == fileio.from_json(ls.SpectrumGrid, manifest["grid"], "grid")
-    entries = payload["components"]
-    assert [c.id for c in components] == [e["id"] for e in entries]
-    assert [fileio.to_json(c.params) for c in components] == [e["params"] for e in entries]
-    assert ([c.intensity.tobytes() for c in components]
-            == [base64.b64decode(e["intensity"]) for e in entries])
-    assert all(c.grid is grid and not c.intensity.flags.writeable for c in components)
-
-
-@pytest.mark.parametrize("chunk", [1, 7, fileio.READ_CHUNK])
-@pytest.mark.parametrize("layout", ["written", "indent", "components_first",
-                                    "duplicates"])
-@pytest.mark.parametrize("n_components", [0, 1, 16])
-def test_streamed_read_equals_json_load(tmp_path, monkeypatch, escaped_pures,
-                                        n_components, layout, chunk):
-    written = tmp_path / "written.json"
-    fileio.write_library(written, escaped_pures[:n_components], SMALL_GRID,
-                         ls.LibraryGridSpec.from_counts(n_cq=2, n_eta=2, n_shift=2))
-    path = tmp_path / "lib.json"
-    path.write_text(_relaid(written.read_text(encoding="utf-8"), layout),
+def _rewrite_library(path, edit):
+    """Rewrite the library file at ``path`` after ``edit(header, entries)``
+    has changed its header dict or its list of component entries."""
+    header, *entries = map(json.loads, path.read_bytes().splitlines())
+    edit(header, entries)
+    path.write_text("".join(json.dumps(item) + "\n" for item in [header, *entries]),
                     encoding="utf-8")
-    monkeypatch.setattr(fileio, "READ_CHUNK", chunk)
-    _assert_reads_as_json_load(path)
 
 
-@pytest.mark.parametrize("chunk", [3, fileio.READ_CHUNK])
-def test_streamed_read_refuses_a_cut_file(tmp_path, monkeypatch, escaped_pures,
-                                          chunk):
-    written = tmp_path / "written.json"
-    fileio.write_library(written, escaped_pures, SMALL_GRID)
-    text = written.read_text(encoding="utf-8")
-    monkeypatch.setattr(fileio, "READ_CHUNK", chunk)
-    cut = tmp_path / "cut.json"
-    # every cut but the last newline's leaves the object open
-    for offset in (0, 1, 9, 50, len(text) // 3, len(text) // 2, len(text) - 3,
-                   len(text) - 2):
-        cut.write_text(text[:offset], encoding="utf-8")
-        with pytest.raises(DataFormatError, match="not valid JSON"):
-            fileio.read_library(cut)
+@pytest.mark.parametrize("n_components", [0, 1, 5])
+def test_library_is_one_json_dumps_per_line(tmp_path, escaped_pures, n_components):
+    pures = escaped_pures[:n_components]
+    spec = ls.LibraryGridSpec.from_counts(n_cq=1, n_eta=1, n_shift=1)
+    path = tmp_path / "lib.json"
+    fileio.write_library(path, pures, SMALL_GRID, spec)
+    header = {
+        "format_version": 2, "kind": "pure_library",
+        "manifest": {"n_components": n_components,
+                     "checksum_sha256": ls.library_checksum(pures),
+                     "grid": fileio.to_json(SMALL_GRID),
+                     "grid_spec": fileio.to_json(spec)},
+    }
+    entries = [{"id": c.id, "params": fileio.to_json(c.params),
+                "intensity": fileio.encode_array(c.intensity)} for c in pures]
+    assert path.read_text(encoding="utf-8") == "".join(
+        json.dumps(item) + "\n" for item in [header, *entries])
+    components, grid, manifest = fileio.read_library(path)
+    assert (grid, manifest) == (SMALL_GRID, header["manifest"])
+    assert [c.id for c in components] == [c.id for c in pures]
+    assert [c.params for c in components] == [c.params for c in pures]
+    assert all(np.array_equal(a.intensity, b.intensity) and a.grid is grid
+               and not a.intensity.flags.writeable
+               for a, b in zip(components, pures))
 
 
 @pytest.mark.parametrize("edit, match", [
-    (lambda p: json.dumps(p) + " {}", "trailing data"),
-    (lambda p: json.dumps(p) + "\n\n]", "trailing data"),
-    (lambda p: json.dumps(dict(p, components=p["components"][:1] + [5])),
+    (lambda lines: lines[0][:40], "line 1 is not valid JSON"),
+    (lambda lines: b"".join(lines[:2]) + lines[2][:-30], "line 3 is not valid JSON"),
+    (lambda lines: b"".join(lines[:2]) + lines[2][:-2], "line 3 is not valid JSON"),
+    (lambda lines: b"".join(lines[:2]), "n_components is 2, but the file holds 1 "),
+    (lambda lines: b"".join(lines[:2]) + b"\n" + lines[2], "line 3 is not valid JSON"),
+    (lambda lines: b"".join(lines) + b"\n", "line 4 is not valid JSON"),
+    (lambda lines: b"".join(lines) + lines[1],
+     "n_components is 2, but the file holds 3 "),
+    (lambda lines: b"[" + lines[0][:-1] + b"]\n" + b"".join(lines[1:]),
+     "field 'kind' must be in a JSON object"),
+], ids=["header cut", "entry cut", "entry cut before its brace", "cut at a line end",
+        "blank line", "blank last line", "extra line", "header a list"])
+def test_library_read_refuses_a_cut_or_extended_file(tmp_path, escaped_pures, capsys,
+                                                     edit, match):
+    path = tmp_path / "lib.json"
+    fileio.write_library(path, escaped_pures[:2], SMALL_GRID)
+    path.write_bytes(edit(path.read_bytes().splitlines(keepends=True)))
+    with pytest.raises(DataFormatError, match=match):
+        fileio.read_library(path)
+    assert main(["generate-mixtures", "--library", str(path), "--model", "inversion",
+                 "--count", "1", "--out", str(tmp_path / "mix")]) == 3
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda header, entries: entries.insert(1, 5),
      r"components\[1\] must be a JSON object"),
-    (lambda p: json.dumps(dict(p, components=p["components"][:1] + [["x"]])),
+    (lambda header, entries: entries.insert(1, ["x"]),
      r"components\[1\] must be a JSON object"),
-    (lambda p: json.dumps(dict(p, components={})), "'components' has the wrong type"),
-    (lambda p: json.dumps(dict(p, components="[]")), "'components' has the wrong type"),
-    (lambda p: json.dumps([p]), "not valid JSON"),
+    (lambda header, entries: entries[1].update(params=[]),
+     r"components\[1\]\.params: QuadrupolarParams must be a JSON object"),
+    (lambda header, entries: entries[0].pop("intensity"),
+     "missing required field 'intensity'"),
+    (lambda header, entries: header.update(manifest=[]), "'manifest' has the wrong type"),
+    (lambda header, entries: header["manifest"]["grid"].update(n_points=32),
+     "intensity length 64 != n_points 32"),
 ])
 def test_streamed_read_refuses_malformed_library(tmp_path, escaped_pures, edit,
                                                  match):
     path = tmp_path / "lib.json"
     fileio.write_library(path, escaped_pures[:2], SMALL_GRID)
-    path.write_text(edit(fileio.read_json(path)), encoding="utf-8")
+    _rewrite_library(path, edit)
     with pytest.raises(DataFormatError, match=match):
         fileio.read_library(path)
 
@@ -564,19 +540,36 @@ def test_streamed_read_refuses_malformed_library(tmp_path, escaped_pures, edit,
 @pytest.mark.parametrize("header, match", [
     ({"kind": "component_set"},
      "expected kind 'pure_library', found 'component_set'"),
-    ({"format_version": 2}, "unsupported format_version 2"),
+    ({"format_version": 1}, "unsupported format_version 1"),
 ])
 def test_library_header_checked_before_any_entry(tmp_path, monkeypatch,
                                                  escaped_pures, header, match):
     path = tmp_path / "lib.json"
     fileio.write_library(path, escaped_pures[:2], SMALL_GRID)
-    fileio.write_json(path, dict(fileio.read_json(path), **header))
+    _rewrite_library(path, lambda head, entries: head.update(header))
 
     def never(*args):
         raise AssertionError("an entry was decoded")
     monkeypatch.setattr(fileio, "decode_array", never)
     with pytest.raises(DataFormatError, match=match):
         fileio.read_library(path)
+
+
+def test_single_document_library_names_its_format_version(tmp_path, escaped_pures,
+                                                          capsys):
+    # the layout of format version 1: one JSON document holding the components
+    pures = escaped_pures[:2]
+    path = tmp_path / "lib.json"
+    fileio.write_json(path, {
+        "format_version": 1, "kind": "pure_library",
+        "manifest": {"n_components": 2, "checksum_sha256": ls.library_checksum(pures),
+                     "grid": fileio.to_json(SMALL_GRID), "grid_spec": None},
+        "components": [{"id": c.id, "params": fileio.to_json(c.params),
+                        "intensity": fileio.encode_array(c.intensity)} for c in pures],
+    })
+    assert main(["generate-mixtures", "--library", str(path), "--model", "inversion",
+                 "--count", "1", "--out", str(tmp_path / "mix")]) == 3
+    assert "unsupported format_version 1 (expected 2)" in capsys.readouterr().err
 
 
 def test_component_set_given_as_library_names_its_kind(tmp_path, capsys):
@@ -613,17 +606,16 @@ def test_library_read_needs_little_beyond_its_arrays(tmp_path, small_library, gr
     (dict(TINY_SPEC, cq_values_hz="40"), False),
 ])
 def test_library_grid_spec_is_checked(tmp_path, tiny_library, spec, accepted):
-    payload = fileio.read_json(tiny_library)
-    payload["manifest"]["grid_spec"] = spec
-    path = tmp_path / "lib.json"
-    fileio.write_json(path, payload)
+    _rewrite_library(tiny_library,
+                     lambda header, entries: header["manifest"].update(grid_spec=spec))
     if accepted:
-        assert fileio.read_library(path)[2]["grid_spec"] is None
+        assert fileio.read_library(tiny_library)[2]["grid_spec"] is None
         return
     with pytest.raises(DataFormatError, match="manifest.grid_spec: LibraryGridSpec"):
-        fileio.read_library(path)
-    assert main(["generate-mixtures", "--library", str(path), "--model", "inversion",
-                 "--count", "1", "--out", str(tmp_path / "mix")]) == 3
+        fileio.read_library(tiny_library)
+    assert main(["generate-mixtures", "--library", str(tiny_library),
+                 "--model", "inversion", "--count", "1",
+                 "--out", str(tmp_path / "mix")]) == 3
 
 
 STORED = {
@@ -707,24 +699,22 @@ def test_library_read_and_written_again_is_identical(tmp_path, tiny_library):
 
 
 def test_library_with_wrong_component_count_refused(tmp_path, tiny_library):
-    payload = fileio.read_json(tiny_library)
-    assert payload["manifest"]["n_components"] == 16
-    payload["manifest"]["n_components"] = 999
-    bad = tmp_path / "miscounted.json"
-    fileio.write_json(bad, payload)
+    assert fileio.read_library(tiny_library)[2]["n_components"] == 16
+    _rewrite_library(tiny_library, lambda header, entries:
+                     header["manifest"].update(n_components=999))
     with pytest.raises(DataFormatError, match="999.*16"):
-        fileio.read_library(bad)
-    assert main(["generate-mixtures", "--library", str(bad), "--model", "inversion",
-                 "--count", "1", "--out", str(tmp_path / "mix")]) == 3
+        fileio.read_library(tiny_library)
+    assert main(["generate-mixtures", "--library", str(tiny_library),
+                 "--model", "inversion", "--count", "1",
+                 "--out", str(tmp_path / "mix")]) == 3
 
 
 def test_corrupted_library_rejected(tmp_path, tiny_library):
-    payload = fileio.read_json(tiny_library)
-    payload["components"][0]["intensity"] = fileio.encode_array(np.zeros(1024))
-    bad = tmp_path / "corrupt.json"
-    fileio.write_json(bad, payload)
+    zeros = fileio.encode_array(np.zeros(1024))
+    _rewrite_library(tiny_library,
+                     lambda header, entries: entries[0].update(intensity=zeros))
     with pytest.raises(Exception, match="checksum"):
-        fileio.read_library(bad)
+        fileio.read_library(tiny_library)
 
 
 def test_component_set_round_trip(tmp_path, one_dataset):
@@ -774,14 +764,44 @@ def test_component_set_with_boolean_integer_refused(tmp_path, one_dataset, field
                  "--out", str(tmp_path / "r.json")]) == 3
 
 
+@pytest.mark.parametrize("kind, edit, field", [
+    ("component_set", lambda payload: payload.update(converged="no"), "converged"),
+    ("component_set", lambda payload: payload.update(converged=1), "converged"),
+    ("component_set", lambda payload: payload.update(runtime_seconds=True),
+     "runtime_seconds"),
+    ("dataset", lambda payload: payload["provenance"].update(noise_factor=True),
+     "noise_factor"),
+    ("dataset", lambda payload: payload.update(provenance="no components"), "provenance"),
+    ("dataset", lambda payload: payload.update(provenance=["components"]), "provenance"),
+])
+def test_envelope_field_of_the_wrong_type_refused(tmp_path, one_dataset, kind, edit,
+                                                  field):
+    dataset_path, pures_path = one_dataset
+    path, read = dataset_path, fileio.read_dataset
+    if kind == "component_set":
+        path, read = tmp_path / "cs.json", fileio.read_component_set
+        assert main(["decompose", "--in", str(dataset_path), "--technique", "svd",
+                     "--k", "1", "--out", str(path)]) == 0
+    payload = fileio.read_json(path)
+    edit(payload)
+    fileio.write_json(path, payload)
+    with pytest.raises(DataFormatError, match=field):
+        read(path)
+    if kind == "component_set":
+        args = ["score", "--predicted", str(path), "--pure", str(pures_path)]
+    else:
+        args = ["decompose", "--in", str(path), "--technique", "svd", "--k", "1"]
+    assert main(args + ["--out", str(tmp_path / "out.json")]) == 3
+
+
 @pytest.mark.parametrize("field", ["format_version", "n_components"])
 def test_library_with_boolean_integer_refused(tmp_path, small_library, grid, field):
     path = tmp_path / "lib.json"
     spec = ls.LibraryGridSpec.from_counts(n_cq=1, n_eta=1, n_shift=1)
     fileio.write_library(path, small_library[:1], grid, spec)
-    payload = fileio.read_json(path)
-    (payload if field == "format_version" else payload["manifest"])[field] = True
-    fileio.write_json(path, payload)
+    _rewrite_library(path, lambda header, entries: (
+        header if field == "format_version" else header["manifest"]
+    ).update({field: True}))
     with pytest.raises(DataFormatError, match=field):
         fileio.read_library(path)
     assert main(["generate-mixtures", "--library", str(path), "--model", "inversion",

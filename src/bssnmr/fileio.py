@@ -222,6 +222,9 @@ def read_library(path):
         expected = _require(manifest, "checksum_sha256", str)
         components = []
         for line in handle:
+            if len(components) == stated:
+                raise DataFormatError(f"{path}: line {stated + 2} is trailing data: "
+                                      f"manifest.n_components is {stated}")
             entry = _json_line(line, path, len(components) + 2)
             # Freeing the line before its arrays are allocated fragments the
             # heap less: the full library peaks at 310 MB RSS, 350 MB without

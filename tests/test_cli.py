@@ -457,15 +457,18 @@ def escaped_pures():
 
 def _rewrite_library(path, edit):
     """Rewrite the library file at ``path`` after ``edit(header, entries)``
-    has changed its header dict or its list of component entries."""
+    has changed its header dict or its list of component entries; an entry
+    that is bytes is written as it is, as a line's raw text."""
     header, *entries = map(json.loads, path.read_bytes().splitlines())
     edit(header, entries)
-    path.write_text("".join(json.dumps(item) + "\n" for item in [header, *entries]),
-                    encoding="utf-8")
+    path.write_bytes(b"".join(
+        item if isinstance(item, bytes) else json.dumps(item).encode() + b"\n"
+        for item in [header, *entries]))
 
 
 @pytest.mark.parametrize("n_components", [0, 1, 5])
-def test_library_is_one_json_dumps_per_line(tmp_path, escaped_pures, n_components):
+def test_streamed_library_is_one_json_dumps(tmp_path, escaped_pures, n_components):
+    # one json.dumps for the header line, then one for each component's line
     pures = escaped_pures[:n_components]
     spec = ls.LibraryGridSpec.from_counts(n_cq=1, n_eta=1, n_shift=1)
     path = tmp_path / "lib.json"
@@ -496,9 +499,8 @@ def test_library_is_one_json_dumps_per_line(tmp_path, escaped_pures, n_component
     (lambda lines: b"".join(lines[:2]) + lines[2][:-2], "line 3 is not valid JSON"),
     (lambda lines: b"".join(lines[:2]), "n_components is 2, but the file holds 1 "),
     (lambda lines: b"".join(lines[:2]) + b"\n" + lines[2], "line 3 is not valid JSON"),
-    (lambda lines: b"".join(lines) + b"\n", "line 4 is not valid JSON"),
-    (lambda lines: b"".join(lines) + lines[1],
-     "n_components is 2, but the file holds 3 "),
+    (lambda lines: b"".join(lines) + b"\n", "line 4 is trailing data"),
+    (lambda lines: b"".join(lines) + lines[1], "line 4 is trailing data"),
     (lambda lines: b"[" + lines[0][:-1] + b"]\n" + b"".join(lines[1:]),
      "field 'kind' must be in a JSON object"),
 ], ids=["header cut", "entry cut", "entry cut before its brace", "cut at a line end",
@@ -515,7 +517,24 @@ def test_library_read_refuses_a_cut_or_extended_file(tmp_path, escaped_pures, ca
     assert match in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cut", [3, 1 << 20])
+def test_streamed_read_refuses_a_cut_file(tmp_path, escaped_pures, cut):
+    """A library that lost its last ``cut`` bytes is refused: 3 bytes cut the
+    last component's line, and 1 MiB, more than the file holds, leaves it
+    empty."""
+    path = tmp_path / "lib.json"
+    fileio.write_library(path, escaped_pures, SMALL_GRID)
+    data = path.read_bytes()
+    assert 3 < len(data) < 1 << 20
+    path.write_bytes(data[:-cut])
+    with pytest.raises(DataFormatError, match="not valid JSON"):
+        fileio.read_library(path)
+
+
 @pytest.mark.parametrize("edit, match", [
+    (lambda header, entries: entries.append({}), "trailing data"),
+    (lambda header, entries: entries.append(b"]\n"), "trailing data"),
+    (lambda header, entries: entries.insert(1, b"{\n"), "not valid JSON"),
     (lambda header, entries: entries.insert(1, 5),
      r"components\[1\] must be a JSON object"),
     (lambda header, entries: entries.insert(1, ["x"]),

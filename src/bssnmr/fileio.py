@@ -230,13 +230,7 @@ def read_library(path):
             # heap less: the full library peaks at 310 MB RSS, 350 MB without
             # (x86-64 Linux, glibc malloc).
             del line
-            comp_id, params, intensity = _component_entry(entry, len(components))
-            if intensity.size != grid.n_points:
-                raise DataFormatError(
-                    f"component {comp_id!r}: intensity length "
-                    f"{intensity.size} != n_points {grid.n_points}")
-            components.append(PureComponent(id=comp_id, params=params, grid=grid,
-                                            intensity=intensity))
+            components.append(_component_entry(entry, len(components), grid))
     if stated != len(components):
         raise DataFormatError(f"manifest.n_components is {stated}, but the file "
                               f"holds {len(components)} components")
@@ -252,13 +246,17 @@ def _json_line(line: bytes, path, number: int):
         raise DataFormatError(f"{path}: line {number} is not valid JSON: {exc}") from None
 
 
-def _component_entry(entry, index: int) -> tuple:
+def _component_entry(entry, index: int, grid: SpectrumGrid) -> PureComponent:
     where = f"components[{index}]"
     if not isinstance(entry, dict):
         raise DataFormatError(f"{where} must be a JSON object")
-    return (_require(entry, "id", str),
-            from_json(QuadrupolarParams, _require(entry, "params"), f"{where}.params"),
-            decode_array(_require(entry, "intensity", str), "intensity"))
+    comp_id = _require(entry, "id", str)
+    params = from_json(QuadrupolarParams, _require(entry, "params"), f"{where}.params")
+    intensity = decode_array(_require(entry, "intensity", str), "intensity")
+    if intensity.size != grid.n_points:
+        raise DataFormatError(f"component {comp_id!r}: intensity length "
+                              f"{intensity.size} != n_points {grid.n_points}")
+    return PureComponent(id=comp_id, params=params, grid=grid, intensity=intensity)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 A plan spans models x noise levels x component-count modes x normalizations
 x techniques x k offsets.  Datasets are derived deterministically from the
 master seed and reused byte-identically across techniques and k offsets.
-A technique failure stays a record, with ``failed: true`` and its
-``failure`` message, and is excluded from the tables.  All aggregation is a
-sorted reduction, so results are independent of worker count and
-completion order.  The four tables are always made, if need be without rows.
+Each decomposition is one :class:`Record`.  A technique failure stays a
+record, with ``failed: true`` and its ``failure`` message, and is excluded
+from the tables.  All aggregation is a sorted reduction, so results are
+independent of worker count and completion order.  The four tables are
+always made, if need be without rows.
 """
 
 import math
@@ -14,12 +15,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from multiprocessing import get_context
+from typing import Optional
 
 import numpy as np
 
 from .bss import TECHNIQUES, decompose, parse_technique
 from .errors import NumericalFailure, TechniqueFailure, UndefinedStatistic
-from .numkernel import derive_rng
 from .scoring import PureStatistics, best_assignment, overprediction_ratio
 from .synth import (MAX_COMPONENTS, MIN_COMPONENTS, MODELS, NOISE_LEVELS,
                     NORMALIZATION_MODES, assemble_dataset, normalize,
@@ -79,10 +80,52 @@ class BenchmarkPlan:
                     for di in range(self.n_datasets_per_cell):
                         yield (mi, model, ni, float(noise), ci, mode, di)
 
+    def record_keys(self):
+        """Every record's :func:`record_key`, in the order ``run_plan``
+        hands records to its sink."""
+        for _, model, _, noise, _, mode, di in self.dataset_keys():
+            for norm in self.normalizations:
+                for technique in self.techniques:
+                    for k_offset in self.k_offsets:
+                        yield (model, noise, mode, di, norm, technique, k_offset)
+
     @property
     def records_per_dataset(self) -> int:
         return (len(self.normalizations) * len(self.techniques)
                 * len(self.k_offsets))
+
+
+@dataclass(frozen=True)
+class Record:
+    """One decomposition's outcome: a line of ``records.jsonl``, whose keys
+    are these fields in this order.  Records are held as such dicts; each
+    is built, and read back, through this class.  ``error`` is null exactly
+    when the technique failed, and ``failure`` then says why."""
+
+    model: str
+    noise: float
+    mode: str
+    dataset: int
+    normalization: str
+    technique: str
+    k_offset: int
+    true_k: int
+    k_used: int
+    clamped: bool
+    failed: bool
+    error: Optional[float]
+    converged: bool
+    runtime: float
+    failure: Optional[str] = None
+
+    def __post_init__(self):
+        if self.failed != (self.error is None):
+            raise ValueError("error must be null exactly when failed is true, "
+                             f"found failed {self.failed} and error {self.error!r}")
+
+    def to_dict(self) -> dict:
+        """The record's JSON object: its fields, in order."""
+        return dict(vars(self))
 
 
 @dataclass
@@ -106,7 +149,7 @@ def _csv_cell(value) -> str:
 def build_dataset(plan: BenchmarkPlan, library, dataset_key):
     """Deterministic dataset for one (model, noise, mode, index) cell slot."""
     mi, model, ni, noise, ci, mode, di = dataset_key
-    rng = derive_rng(plan.master_seed, _DATASET_STREAM, mi, ni, ci, di)
+    rng = np.random.default_rng([plan.master_seed, _DATASET_STREAM, mi, ni, ci, di])
     if mode == "fixed4":
         true_k = 4
     elif mode == "fixed6":
@@ -146,23 +189,20 @@ def run_dataset(plan: BenchmarkPlan, library, dataset_key) -> list:
         for ti, technique in enumerate(plan.techniques):
             for oi, k_offset in enumerate(plan.k_offsets):
                 k = max(1, true_k + k_offset)
-                record = {
-                    "model": model, "noise": noise, "mode": mode,
-                    "dataset": di, "normalization": norm,
-                    "technique": technique, "k_offset": int(k_offset),
-                    "true_k": true_k, "k_used": k,
-                    "clamped": k != true_k + k_offset,
-                }
                 try:
                     result = decompose(normalized, technique, k, seed=seeds[ti][oi])
                     report = best_assignment(result, pure_stats)
-                    record.update(failed=False, error=report.dataset_error,
-                                  converged=result.converged,
-                                  runtime=result.runtime_seconds)
+                    outcome = dict(failed=False, error=report.dataset_error,
+                                   converged=result.converged,
+                                   runtime=result.runtime_seconds)
                 except (TechniqueFailure, NumericalFailure) as exc:
-                    record.update(failed=True, error=None, converged=False,
-                                  runtime=0.0, failure=str(exc))
-                records.append(record)
+                    outcome = dict(failed=True, error=None, converged=False,
+                                   runtime=0.0, failure=str(exc))
+                records.append(Record(
+                    model=model, noise=noise, mode=mode, dataset=di,
+                    normalization=norm, technique=technique,
+                    k_offset=int(k_offset), true_k=true_k, k_used=k,
+                    clamped=k != true_k + k_offset, **outcome).to_dict())
     return records
 
 
@@ -185,24 +225,20 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
     ``runtime_factors.csv``) by name, as an :class:`AggregateTable`.  All
     four are always returned; table1 has no rows if no exact-k record succeeded.
 
-    ``existing_records`` (from a previous interrupted run) are trusted for
-    any dataset whose records are complete; incomplete datasets are rerun.
+    ``existing_records`` (from a previous interrupted run) are trusted to
+    be the records of the plan's leading whole datasets; the rest are run.
     ``record_sink`` receives each fresh record as soon as its dataset is
-    done; datasets complete, and reach the sink, in plan key order at any
-    worker count.
+    done, in the order of ``plan.record_keys()`` at any worker count.
     """
     if not library:
         raise ValueError("run_plan needs a nonempty component library")
-    done = {record_key(record): record for record in existing_records or []}
-    datasets_done = Counter(key[:4] for key in done)
-    pending = [key for key in plan.dataset_keys()
-               if datasets_done[key[1], key[3], key[5], key[6]]
-               < plan.records_per_dataset]
+    records = list(existing_records or [])
+    pending = list(plan.dataset_keys())[len(records) // plan.records_per_dataset:]
 
     def keep(batch):
-        for record in batch:
-            done[record_key(record)] = record
-            if record_sink is not None:
+        records.extend(batch)
+        if record_sink is not None:
+            for record in batch:
                 record_sink(record)
 
     if workers <= 1 or not pending:
@@ -219,7 +255,7 @@ def run_plan(plan: BenchmarkPlan, library, workers: int = 1,
         finally:
             _FORK_CONTEXT.clear()
 
-    records = [done[key] for key in sorted(done)]
+    records.sort(key=record_key)
     tables = {
         "table1.csv": aggregate_table1(records),
         "table2.csv": aggregate_table2(records),

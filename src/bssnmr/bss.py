@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import TechniqueFailure
-from .numkernel import joint_diagonalize, nnls, seeded_rng, svd
+from .numkernel import joint_diagonalize, nnls, svd
 from .synth import MixtureDataset
 
 NNMF_INITS = ("random", "nndsvd", "nndsvda", "nndsvdar")
@@ -191,7 +191,7 @@ def fastica(dataset: MixtureDataset, k: int, seed: int = 0) -> ComponentSet:
     """
     z, back = _whiten(_factors(dataset, "raw"), k)
     n = z.shape[1]
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     w = _sym_decorrelate(rng.standard_normal((k, k)))
     converged = False
     iterations = 0
@@ -274,7 +274,7 @@ def vca(dataset: MixtureDataset, k: int, seed: int = 0) -> ComponentSet:
     """
     y = dataset.spectra.T                     # (n_points, n_spectra)
     n_bands, n_vecs = y.shape
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
 
     y_mean = y.mean(axis=1, keepdims=True)
     y_centered = y - y_mean
@@ -438,7 +438,7 @@ def nnmf(dataset: MixtureDataset, k: int, init: str = "nndsvd", seed: int = 0,
     """
     if init not in NNMF_INITS:
         raise ValueError(f"unknown nnmf init {init!r}")
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     x, flipped_rows, shift = nnmf_preprocess(dataset.spectra)
     m, n = x.shape
 
@@ -597,7 +597,7 @@ def mcr(dataset: MixtureDataset, k: int, regression: str = "ols_als",
     else:
         x = dataset.spectra
 
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     if init == "provided":
         _, _, vt = _factors(dataset, "nonnegative" if regression == "nnls" else "raw")
         spectra = np.abs(vt[:k])

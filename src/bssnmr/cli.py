@@ -8,7 +8,6 @@ owns a worker pool sized by ``--workers``.
 import json
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
 import click
@@ -85,7 +84,7 @@ def cmd_generate_mixtures(library_path, model, noise, count, n_components,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for index in range(count):
-        rng = bench_mod.derive_rng(seed, 0, index)
+        rng = np.random.default_rng([seed, 0, index])
         k = fixed_k if fixed_k is not None else int(
             rng.integers(synth.MIN_COMPONENTS, synth.MAX_COMPONENTS + 1))
         pures = synth.sample_components(library, k, rng)
@@ -152,37 +151,36 @@ def cmd_score(predicted_path, pure_path, out_path, svg_dir):
                f"{report.dataset_error:.6g} -> {out_path}")
 
 
-def _resume_records(records_path, per_dataset: int) -> list:
-    """Records of the datasets completed by an interrupted bench run.
+def _resume_records(records_path, plan) -> list:
+    """Records of the datasets completed by an interrupted run of ``plan``.
 
-    Reading stops at the first line that is not whole JSON ending in a
-    newline: the truncated tail of a killed run.  Records reach the file
-    one dataset at a time, so the file is cut after the leading records
-    whose datasets are complete.  The unfinished dataset is rerun; its
-    fresh records then start on a line of their own and repeat no key.
+    A last line without its newline, the torn tail of a killed run, is not
+    read.  Each whole line must be a record with the next key of
+    ``plan.record_keys()``; any other line is refused, naming it, before
+    the file is changed.  The file is then cut after the leading whole
+    datasets.  The unfinished dataset is rerun; its fresh records then
+    start on a line of their own and repeat no key.
     """
-    lines = []
-    end = 0
+    expected = plan.record_keys()
+    records, ends = [], [0]
     with open(records_path, "rb") as handle:
-        for raw in handle:
-            if not raw.endswith(b"\n"):
+        for number, line in enumerate(handle, 1):
+            if not line.endswith(b"\n"):
                 break
-            try:
-                record = json.loads(raw)
-            except ValueError:
-                break
-            end += len(raw)
-            lines.append((end, record))
-    counts = Counter(bench_mod.record_key(record)[:4] for _, record in lines)
-    keep, existing = 0, []
-    for end, record in lines:
-        if counts[bench_mod.record_key(record)[:4]] < per_dataset:
-            break
-        keep = end
-        existing.append(record)
+            where = f"{records_path}: line {number}"
+            record = fileio.from_json(bench_mod.Record,
+                                      fileio.json_line(line, records_path, number),
+                                      where).to_dict()
+            key, want = bench_mod.record_key(record), next(expected, None)
+            if key != want:
+                raise DataFormatError(f"{where}: record {key} is not the plan's "
+                                      f"next record {want}")
+            records.append(record)
+            ends.append(ends[-1] + len(line))
+    whole = len(records) - len(records) % plan.records_per_dataset
     with open(records_path, "r+b") as handle:
-        handle.truncate(keep)
-    return existing
+        handle.truncate(ends[whole])
+    return records[:whole]
 
 
 @cli.command("bench")
@@ -217,7 +215,7 @@ def cmd_bench(plan_path, library_path, out_dir, workers, resume):
     records_path = out / "records.jsonl"
     existing = []
     if resume and records_path.exists():
-        existing = _resume_records(records_path, plan.records_per_dataset)
+        existing = _resume_records(records_path, plan)
     mode = "a" if existing else "w"
     with open(records_path, mode, encoding="utf-8", newline="\n") as handle:
         def sink(record):

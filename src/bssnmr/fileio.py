@@ -37,10 +37,11 @@ def decode_array(text: str, field: str = "array") -> np.ndarray:
     """The little-endian floats in base64 ``text``, as a read-only array over
     the decoded bytes."""
     # strict mode refuses non-alphabet characters and misplaced or excess
-    # padding; a str with a non-ASCII character raises ValueError.
+    # padding; a str with a non-ASCII character raises ValueError, and a
+    # JSON value that is not a string TypeError.
     try:
         raw = binascii.a2b_base64(text, strict_mode=True)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{field}: invalid base64 payload") from exc
     if len(raw) % 8 != 0:
         raise DataFormatError(f"{field}: payload length not a multiple of 8")
@@ -64,6 +65,16 @@ def _require(mapping: dict, field: str, kind=None):
 def _optional(mapping: dict, field: str, kind, default):
     """``mapping[field]`` checked as by _require, or ``default`` if absent."""
     return _require(mapping, field, kind) if field in mapping else default
+
+
+def _rows(payload: dict, field: str) -> np.ndarray:
+    """The base64 rows listed in ``payload[field]``, stacked; refused unless
+    there is at least one row and all have one length."""
+    rows = [decode_array(text, f"{field}[{i}]")
+            for i, text in enumerate(_require(payload, field, list))]
+    if not rows or len({row.size for row in rows}) != 1:
+        raise DataFormatError(f"{field}: needs one or more rows, all of one length")
+    return np.stack(rows)
 
 
 def _check_version(payload: dict, kind: str):
@@ -166,11 +177,13 @@ def _decoder(hint):
         return lambda value: _expect(value, int, "an integer")
     if hint is str:
         return lambda value: _expect(value, str, "a string")
+    if hint is bool:
+        return lambda value: _expect(value, bool, "true or false")
     raise TypeError(f"no JSON form for a field of type {hint!r}")
 
 
 def _expect(value, kind, what: str):
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise DataFormatError(f"must be {what}, found {value!r:.40}")
     return value
 
@@ -212,7 +225,7 @@ def read_library(path):
     read holds neither the file's text nor its whole JSON tree.
     """
     with open(path, "rb") as handle:
-        header = _json_line(handle.readline(), path, 1)
+        header = json_line(handle.readline(), path, 1)
         _check_version(header, "pure_library")
         manifest = _require(header, "manifest", dict)
         grid = from_json(SpectrumGrid, _require(manifest, "grid"), "manifest.grid")
@@ -225,7 +238,7 @@ def read_library(path):
             if len(components) == stated:
                 raise DataFormatError(f"{path}: line {stated + 2} is trailing data: "
                                       f"manifest.n_components is {stated}")
-            entry = _json_line(line, path, len(components) + 2)
+            entry = json_line(line, path, len(components) + 2)
             # Freeing the line before its arrays are allocated fragments the
             # heap less: the full library peaks at 310 MB RSS, 350 MB without
             # (x86-64 Linux, glibc malloc).
@@ -239,7 +252,8 @@ def read_library(path):
     return components, grid, manifest
 
 
-def _json_line(line: bytes, path, number: int):
+def json_line(line: bytes, path, number: int):
+    """The JSON value on line ``number`` of the file at ``path``."""
     try:
         return json.loads(line)
     except ValueError as exc:           # JSONDecodeError or a bad encoding
@@ -286,12 +300,9 @@ def read_dataset(path) -> MixtureDataset:
     payload = read_json(path)
     _check_version(payload, "mixture_dataset")
     grid = from_json(SpectrumGrid, _require(payload, "grid"), "grid")
-    rows = [decode_array(text, f"spectra[{i}]")
-            for i, text in enumerate(_require(payload, "spectra", list))]
-    lengths = {row.size for row in rows}
-    if len(lengths) != 1 or lengths.pop() != grid.n_points:
+    spectra = _rows(payload, "spectra")
+    if spectra.shape[1] != grid.n_points:
         raise DataFormatError("spectra: rows must all have length n_points")
-    spectra = np.stack(rows)
 
     components = None
     noise = 0.0
@@ -331,10 +342,8 @@ def read_component_set(path) -> tuple:
     or None for a file written without one."""
     payload = read_json(path)
     _check_version(payload, "component_set")
-    comps = np.stack([decode_array(t, f"components[{i}]")
-                      for i, t in enumerate(_require(payload, "components", list))])
-    coeff = np.stack([decode_array(t, f"coefficients[{i}]")
-                      for i, t in enumerate(_require(payload, "coefficients", list))])
+    comps = _rows(payload, "components")
+    coeff = _rows(payload, "coefficients")
     k = _require(payload, "k_requested", int)
     if k != comps.shape[0]:
         raise DataFormatError(f"k_requested {k} != {comps.shape[0]} component rows")
@@ -350,7 +359,7 @@ def read_component_set(path) -> tuple:
         components=comps, coefficients=coeff, technique=technique,
         converged=_require(payload, "converged", bool),
         runtime_seconds=float(_optional(payload, "runtime_seconds", (int, float), 0.0)),
-        meta=payload.get("meta") or {}), grid
+        meta=_optional(payload, "meta", dict, {})), grid
 
 
 def write_match_report(path, report: MatchReport):

@@ -16,28 +16,6 @@ from .errors import NumericalFailure
 
 
 # ---------------------------------------------------------------------------
-# random number streams
-# ---------------------------------------------------------------------------
-
-def seeded_rng(seed) -> np.random.Generator:
-    """Deterministic generator for an integer seed or a SeedSequence."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent child stream identified by a tuple of integers.
-
-    Streams for distinct keys are statistically independent, and the mapping
-    (master_seed, key) -> stream is reproducible across runs and platforms.
-    """
-    return seeded_rng(np.random.SeedSequence([int(master_seed), *map(int, key)]))
-
-
-# ---------------------------------------------------------------------------
 # decompositions
 # ---------------------------------------------------------------------------
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import DegenerateRowError
 from .lineshape import PureComponent, SpectrumGrid
-from .numkernel import seeded_rng
 
 SPECTRA_PER_DATASET = 20
 MIN_COMPONENTS = 2
@@ -90,7 +89,7 @@ def sample_components(library: Sequence[PureComponent], k: int, rng_seed) -> lis
     n = len(library)
     if not 1 <= k <= n:
         raise ValueError(f"cannot sample {k} components from a library of {n}")
-    rng = seeded_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     reservoir = list(library[:k])
     draws = rng.integers(0, np.arange(k + 1, n + 1))
     for i in np.flatnonzero(draws < k):
@@ -160,7 +159,7 @@ def assemble_dataset(pures: Sequence[PureComponent], model: str, rng_seed: int,
     if any(p.grid != grid for p in pures):
         raise ValueError("all pure components must share one frequency grid")
 
-    rng = seeded_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     series = []
     weights = np.empty((SPECTRA_PER_DATASET, k))
     if model == "inversion":

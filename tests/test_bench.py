@@ -28,10 +28,12 @@ def test_plan_validation():
 
 def test_datasets_shared_across_techniques(small_library):
     plan = tiny_plan()
-    key = next(iter(plan.dataset_keys()))
+    key, other = list(plan.dataset_keys())
     first, _, _ = bench.build_dataset(plan, small_library, key)
     second, _, _ = bench.build_dataset(plan, small_library, key)
     assert first.spectra.tobytes() == second.spectra.tobytes()
+    third, _, _ = bench.build_dataset(plan, small_library, other)
+    assert first.spectra.tobytes() != third.spectra.tobytes()
 
 
 def test_run_plan_deterministic_rerun(small_library):
@@ -182,6 +184,23 @@ def test_sink_has_finished_datasets_when_plan_dies(small_library, monkeypatch,
     expected = [r for key in keys[:-1] for r in real(plan, small_library, key)]
     assert [bench.record_key(r) for r in received] == [
         bench.record_key(r) for r in expected]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sink_order_is_the_plans_record_keys(small_library, workers):
+    plan = tiny_plan(normalizations=("none", "peak"), k_offsets=(0, 1))
+    received = []
+    bench.run_plan(plan, small_library, workers=workers, record_sink=received.append)
+    assert [bench.record_key(r) for r in received] == list(plan.record_keys())
+
+
+def test_record_error_is_null_exactly_when_failed():
+    record = synthetic_records()[0]
+    assert bench.Record(**record).to_dict() == dict(record, failure=None)
+    with pytest.raises(ValueError, match="error must be null"):
+        bench.Record(**dict(record, error=None))
+    with pytest.raises(ValueError, match="error must be null"):
+        bench.Record(**dict(record, failed=True, failure="cap"))
 
 
 def synthetic_records():

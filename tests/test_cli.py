@@ -253,6 +253,9 @@ def test_bench_emits_tables(tmp_path, tiny_library):
         assert (out / name).exists()
     header = (out / "table1.csv").read_text().splitlines()[0]
     assert header.startswith("technique,normalization,mean_error")
+    names = [field.name for field in dataclasses.fields(bench.Record)]
+    for line in (out / "records.jsonl").read_text().splitlines():
+        assert list(json.loads(line)) == names
 
 
 def test_bench_resume_matches_uninterrupted(tmp_path, tiny_library):
@@ -292,6 +295,38 @@ def test_bench_resume_after_truncated_tail(tmp_path, tiny_library):
         assert len(keys) == len(set(keys)) == len(lines)
         for name in ("table1.csv", "table2.csv", "table3.csv"):
             assert (full / name).read_bytes() == (resumed / name).read_bytes()
+
+
+def _drop_converged_and_quote_error(lines):
+    record = json.loads(lines[0])
+    del record["converged"]
+    record["error"] = str(record["error"])
+    return [json.dumps(record)] + lines[1:]
+
+
+@pytest.mark.parametrize("edit, plan, line", [
+    (_drop_converged_and_quote_error, {}, 1),
+    (None, {"techniques": ["svd"]}, 3),                 # drops a technique
+    (None, {"techniques": ["nnmf:nndsvd", "svd"]}, 1),  # reorders them
+    (None, {"k_offsets": [1, 0]}, 1),
+    (lambda lines: lines[:2] + lines[3:4], {}, 3),      # loses a record
+    (lambda lines: lines[:3] + ["{"], {}, 4),          # a whole line, not JSON
+])
+def test_bench_resume_refuses_a_record_off_the_plan(tmp_path, tiny_library, capsys,
+                                                   edit, plan, line):
+    out = tmp_path / "bench"
+    assert main(["bench", "--plan", str(bench_plan_file(tmp_path)), "--library",
+                 str(tiny_library), "--out", str(out)]) == 0
+    records = out / "records.jsonl"
+    if edit is not None:
+        lines = records.read_text().splitlines()
+        records.write_text("\n".join(edit(lines)) + "\n")
+    before = records.read_bytes()
+    capsys.readouterr()
+    assert main(["bench", "--plan", str(bench_plan_file(tmp_path, **plan)),
+                 "--library", str(tiny_library), "--out", str(out), "--resume"]) == 3
+    assert f"records.jsonl: line {line}" in capsys.readouterr().err
+    assert records.read_bytes() == before
 
 
 def test_bench_without_exact_k_results_is_a_data_error(tmp_path, tiny_library,
@@ -652,6 +687,10 @@ STORED = {
                           "component_count_modes": ["fixed4"],
                           "normalizations": ["none"], "techniques": ["svd"],
                           "k_offsets": [0, 1]},
+    bench.Record: {"model": "inversion", "noise": 0.0, "mode": "fixed4", "dataset": 0,
+                   "normalization": "none", "technique": "svd", "k_offset": 0,
+                   "true_k": 4, "k_used": 4, "clamped": False, "failed": False,
+                   "error": 0.5, "converged": True, "runtime": 0.01, "failure": None},
 }
 DROP = object()
 
@@ -676,6 +715,14 @@ DROP = object()
     (bench.BenchmarkPlan, "bogus", 1),
     (bench.BenchmarkPlan, "master_seed", "7"),
     (bench.BenchmarkPlan, "n_datasets_per_cell", 1.5),
+    (bench.Record, "bogus", 1),
+    (bench.Record, "converged", DROP),
+    (bench.Record, "converged", 1),
+    (bench.Record, "failed", 0),
+    (bench.Record, "clamped", "false"),
+    (bench.Record, "error", "0.5"),
+    (bench.Record, "error", None),
+    (bench.Record, "k_offset", True),
 ])
 def test_reader_refuses_bad_field(cls, field, value):
     payload = dict(STORED[cls])
@@ -788,6 +835,10 @@ def test_component_set_with_boolean_integer_refused(tmp_path, one_dataset, field
     ("component_set", lambda payload: payload.update(converged=1), "converged"),
     ("component_set", lambda payload: payload.update(runtime_seconds=True),
      "runtime_seconds"),
+    ("component_set", lambda payload: payload.update(meta=[1]), "meta"),
+    ("component_set", lambda payload: payload.update(components=[]), "components"),
+    ("component_set", lambda payload: payload.update(coefficients=[]), "coefficients"),
+    ("component_set", lambda payload: payload.update(components=[1]), "components"),
     ("dataset", lambda payload: payload["provenance"].update(noise_factor=True),
      "noise_factor"),
     ("dataset", lambda payload: payload.update(provenance="no components"), "provenance"),

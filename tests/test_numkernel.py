@@ -415,21 +415,3 @@ def test_assign_max_validates_input():
         nk.assign_max(np.array([[1.0, -0.5]]))
     with pytest.raises(ValueError):
         nk.assign_max(np.array([[np.inf, 1.0]]))
-
-
-# ---------------------------------------------------------------------------
-# random streams
-# ---------------------------------------------------------------------------
-
-def test_rng_reproducible_stream():
-    a = nk.seeded_rng(123).random(1000)
-    b = nk.seeded_rng(123).random(1000)
-    assert np.array_equal(a, b)
-
-
-def test_derive_rng_independent_keys():
-    a = nk.derive_rng(1, 2, 3).random(10)
-    b = nk.derive_rng(1, 2, 4).random(10)
-    c = nk.derive_rng(1, 2, 3).random(10)
-    assert np.array_equal(a, c)
-    assert not np.array_equal(a, b)

@@ -40,12 +40,12 @@ class BenchmarkPlan:
 
     master_seed: int = 0
     n_datasets_per_cell: int = 20
-    models: tuple = MODELS
-    noise_levels: tuple = NOISE_LEVELS
-    component_count_modes: tuple = COMPONENT_COUNT_MODES
-    normalizations: tuple = NORMALIZATION_MODES
-    techniques: tuple = ()
-    k_offsets: tuple = (-2, -1, 0, 1, 2, 3, 4)
+    models: tuple[str, ...] = MODELS
+    noise_levels: tuple[float, ...] = NOISE_LEVELS
+    component_count_modes: tuple[str, ...] = COMPONENT_COUNT_MODES
+    normalizations: tuple[str, ...] = NORMALIZATION_MODES
+    techniques: tuple[str, ...] = ()
+    k_offsets: tuple[int, ...] = (-2, -1, 0, 1, 2, 3, 4)
 
     def __post_init__(self):
         if not self.techniques:
@@ -64,9 +64,10 @@ class BenchmarkPlan:
                     raise ValueError(f"unknown {axis} value {value!r}")
         for technique in self.techniques:
             parse_technique(technique)
-        if not all(math.isfinite(n) and n >= 0 for n in self.noise_levels):
-            raise ValueError(f"noise_levels must be finite and >= 0: {self.noise_levels}")
-        if not all(isinstance(offset, int) for offset in self.k_offsets):
+        if not all(not isinstance(n, bool) and math.isfinite(n) and n >= 0
+                   for n in self.noise_levels):
+            raise ValueError(f"noise_levels must be finite numbers >= 0: {self.noise_levels}")
+        if not all(type(offset) is int for offset in self.k_offsets):
             raise ValueError(f"k_offsets must be ints: {self.k_offsets}")
         for axis in fields(self)[2:]:          # the tuple-valued axes
             values = getattr(self, axis.name)

@@ -53,8 +53,8 @@ def cmd_generate_pure(grid_spec, out_path, force):
 @cli.command("generate-mixtures")
 @click.option("--library", "library_path", required=True, type=click.Path(exists=True))
 @click.option("--model", type=click.Choice(synth.MODELS), required=True)
-@click.option("--noise", type=float, default=0.0, show_default=True)
-@click.option("--count", type=int, default=20, show_default=True,
+@click.option("--noise", type=click.FloatRange(min=0), default=0.0, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=20, show_default=True,
               help="Number of datasets to generate.")
 @click.option("--components", "n_components", default="random", show_default=True,
               help="Component count per dataset: an integer in [2, 10] or 'random'.")
@@ -65,10 +65,6 @@ def cmd_generate_pure(grid_spec, out_path, force):
 def cmd_generate_mixtures(library_path, model, noise, count, n_components,
                           seed, out_dir, emit_pures):
     """Assemble mixture datasets from randomly sampled pure components."""
-    if noise < 0:
-        raise click.UsageError("--noise must be nonnegative")
-    if count < 1:
-        raise click.UsageError("--count must be at least 1")
     fixed_k = None
     if n_components != "random":
         try:
@@ -190,7 +186,7 @@ def _resume_records(records_path, plan) -> list:
 @click.option("--library", "library_path", required=True,
               type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker process count.")
 @click.option("--resume", is_flag=True,
               help="Reuse records already present in the output directory.")
@@ -204,8 +200,6 @@ def cmd_bench(plan_path, library_path, out_dir, workers, resume):
     runtime_factors.csv holds wall-clock data and is excluded from that
     guarantee.
     """
-    if workers < 1:
-        raise click.UsageError("--workers must be at least 1")
     plan = (bench_mod.BenchmarkPlan() if plan_path == "full" else fileio.from_json(
         bench_mod.BenchmarkPlan, fileio.read_json(plan_path), plan_path))
     library, _, _ = fileio.read_library(library_path)

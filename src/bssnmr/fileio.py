@@ -3,8 +3,9 @@
 Spectra are stored as base64-encoded little-endian 64-bit floats so every
 file round-trips bit-exactly; the surrounding JSON carries provenance.  A
 pure-component library is JSON Lines; every other kind of file is one JSON
-document.
-Validation failures raise DataFormatError naming the offending field.
+document.  Every document is read by :func:`from_json` and written by
+:func:`to_json` from a dataclass, so each kind has one set of refusals:
+failures raise DataFormatError naming the offending field.
 """
 
 import base64
@@ -33,7 +34,7 @@ def encode_array(values) -> str:
     return base64.b64encode(data.tobytes()).decode("ascii")
 
 
-def decode_array(text: str, field: str = "array") -> np.ndarray:
+def decode_array(text: str) -> np.ndarray:
     """The little-endian floats in base64 ``text``, as a read-only array over
     the decoded bytes."""
     # strict mode refuses non-alphabet characters and misplaced or excess
@@ -42,49 +43,10 @@ def decode_array(text: str, field: str = "array") -> np.ndarray:
     try:
         raw = binascii.a2b_base64(text, strict_mode=True)
     except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{field}: invalid base64 payload") from exc
+        raise DataFormatError("invalid base64 payload") from exc
     if len(raw) % 8 != 0:
-        raise DataFormatError(f"{field}: payload length not a multiple of 8")
+        raise DataFormatError("payload length not a multiple of 8")
     return np.frombuffer(raw, dtype="<f8")
-
-
-def _require(mapping: dict, field: str, kind=None):
-    """``mapping[field]``, refused unless ``mapping`` is a JSON object that
-    holds it as a ``kind``; a JSON boolean is only ever a ``bool``."""
-    if not isinstance(mapping, dict):
-        raise DataFormatError(f"field {field!r} must be in a JSON object")
-    if field not in mapping:
-        raise DataFormatError(f"missing required field {field!r}")
-    value = mapping[field]
-    if kind is not None and (not isinstance(value, kind)
-                             or (isinstance(value, bool) and kind is not bool)):
-        raise DataFormatError(f"field {field!r} has the wrong type")
-    return value
-
-
-def _optional(mapping: dict, field: str, kind, default):
-    """``mapping[field]`` checked as by _require, or ``default`` if absent."""
-    return _require(mapping, field, kind) if field in mapping else default
-
-
-def _rows(payload: dict, field: str) -> np.ndarray:
-    """The base64 rows listed in ``payload[field]``, stacked; refused unless
-    there is at least one row and all have one length."""
-    rows = [decode_array(text, f"{field}[{i}]")
-            for i, text in enumerate(_require(payload, field, list))]
-    if not rows or len({row.size for row in rows}) != 1:
-        raise DataFormatError(f"{field}: needs one or more rows, all of one length")
-    return np.stack(rows)
-
-
-def _check_version(payload: dict, kind: str):
-    found = _require(payload, "kind", str)
-    if found != kind:
-        raise DataFormatError(f"expected kind {kind!r}, found {found!r}")
-    version = _require(payload, "format_version", int)
-    if version != FORMAT_VERSION[kind]:
-        raise DataFormatError(f"unsupported format_version {version} "
-                              f"(expected {FORMAT_VERSION[kind]})")
 
 
 def write_json(path, payload: dict):
@@ -104,18 +66,17 @@ def read_json(path) -> dict:
 # stored dataclasses
 # ---------------------------------------------------------------------------
 
-def to_json(obj) -> dict:
-    """A dataclass's fields in declaration order, arrays as base64 text and
-    tuples as lists."""
-    payload = {}
-    for key, _, _ in _schema(type(obj)):
-        value = getattr(obj, key)
-        if isinstance(value, np.ndarray):
-            value = encode_array(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        payload[key] = value
-    return payload
+def to_json(value):
+    """``value`` as JSON: a number, string, object or null as it is, an
+    array as base64 text, a tuple as a list of converted items and a
+    dataclass as an object of its fields in declaration order."""
+    if value is None or isinstance(value, (int, float, str, dict)):
+        return value
+    if isinstance(value, np.ndarray):
+        return encode_array(value)
+    if isinstance(value, tuple):
+        return [to_json(item) for item in value]
+    return {key: to_json(getattr(value, key)) for key, _, _ in _schema(type(value))}
 
 
 def from_json(cls, payload, where: str):
@@ -123,28 +84,36 @@ def from_json(cls, payload, where: str):
 
     Refuses a non-object, an unknown key, a missing field that has no
     default and a value of the wrong JSON type; a ``float`` field takes a
-    JSON int as a float.  Each refusal is a DataFormatError naming the type
-    and the field, and so is a value the type itself refuses.
+    JSON int as a float, and a dataclass field is read the same way.  Each
+    refusal is a DataFormatError naming the type and the field, down the
+    path of nested fields, and so is a value the type itself refuses.
     """
-    name = cls.__name__
+    try:
+        return _decode(cls, payload)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{where}: {exc}") from exc
+
+
+def _decode(cls, payload):
+    name = cls.__name__.lstrip("_")
     if not isinstance(payload, dict):
-        raise DataFormatError(f"{where}: {name} must be a JSON object")
+        raise DataFormatError(f"{name} must be a JSON object")
     kwargs = {}
     for key, decode, required in _schema(cls):
         if key in payload:
             try:
                 kwargs[key] = decode(payload[key])
             except DataFormatError as exc:
-                raise DataFormatError(f"{where}: {name}.{key}: {exc}") from None
+                raise DataFormatError(f"{name}.{key}: {exc}") from None
         elif required:
-            raise DataFormatError(f"{where}: {name} is missing field {key!r}")
+            raise DataFormatError(f"{name} is missing field {key!r}")
     if len(kwargs) != len(payload):
         unknown = sorted(set(payload) - {key for key, _, _ in _schema(cls)})
-        raise DataFormatError(f"{where}: {name} has unknown fields {unknown}")
+        raise DataFormatError(f"{name} has unknown fields {unknown}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{where}: {name}: {exc}") from exc
+        raise DataFormatError(f"{name}: {exc}") from exc
 
 
 @lru_cache(maxsize=None)
@@ -167,8 +136,10 @@ def _decoder(hint):
     if origin is tuple:                             # tuple[X, ...]
         inner = _decoder(args[0])
         return lambda value: tuple(inner(v) for v in _expect(value, list, "a list"))
-    if hint is tuple:
-        return lambda value: tuple(_expect(value, list, "a list"))
+    if dataclasses.is_dataclass(hint):
+        return lambda value: _decode(hint, value)
+    if hint is dict:
+        return lambda value: _expect(value, dict, "a JSON object")
     if hint is np.ndarray:
         return lambda value: decode_array(_expect(value, str, "base64 text"))
     if hint is float:
@@ -189,25 +160,100 @@ def _expect(value, kind, what: str):
 
 
 # ---------------------------------------------------------------------------
+# file kinds: a kind and format_version around the fields of a dataclass
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class _Manifest:
+    n_components: int
+    checksum_sha256: str
+    grid: SpectrumGrid
+    grid_spec: Optional[LibraryGridSpec] = None
+
+
+@dataclasses.dataclass(frozen=True)
+class _LibraryHeader:
+    manifest: _Manifest
+
+
+@dataclasses.dataclass(frozen=True)
+class _LibraryLine:
+    id: str
+    params: QuadrupolarParams
+    intensity: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class _Provenance:
+    model: Optional[str] = None
+    noise_factor: float = 0.0
+    components: tuple[IntensitySeries, ...]
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class _Dataset:
+    grid: SpectrumGrid
+    normalization: str = "none"
+    spectra: tuple[np.ndarray, ...]
+    provenance: Optional[_Provenance] = None
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class _ComponentSet:
+    technique: str
+    k_requested: int
+    converged: bool
+    runtime_seconds: float = 0.0
+    grid: Optional[SpectrumGrid] = None
+    components: tuple[np.ndarray, ...]
+    coefficients: tuple[np.ndarray, ...]
+    meta: dict = dataclasses.field(default_factory=dict)
+
+
+def _envelope(kind: str, body: dict) -> dict:
+    return {"format_version": FORMAT_VERSION[kind], "kind": kind, **body}
+
+
+def _from_envelope(cls, kind: str, payload, where: str):
+    """``payload``, a ``kind`` file, as a ``cls``: its ``kind`` and
+    ``format_version`` are taken out and must name ``kind`` at its current
+    version."""
+    if isinstance(payload, dict):
+        found = payload.pop("kind", None)
+        if found != kind:
+            raise DataFormatError(f"{where}: expected kind {kind!r}, found {found!r:.40}")
+        version = payload.pop("format_version", None)
+        if type(version) is not int or version != FORMAT_VERSION[kind]:
+            raise DataFormatError(f"{where}: unsupported format_version {version!r:.40} "
+                                  f"(expected {FORMAT_VERSION[kind]})")
+    return from_json(cls, payload, where)
+
+
+def _stack(rows: tuple, field: str, where: str, width=None) -> np.ndarray:
+    """``rows`` as a matrix, refused unless there is at least one row and
+    all have one length, which must be ``width`` if that is given."""
+    lengths = {row.size for row in rows}
+    if len(lengths) != 1 or (width is not None and lengths != {width}):
+        need = "one length" if width is None else f"length {width}"
+        raise DataFormatError(f"{where}: {field}: needs one or more rows, all of "
+                              f"{need}; found lengths {sorted(lengths)}")
+    return np.stack(rows)
+
+
+# ---------------------------------------------------------------------------
 # pure-component library
 # ---------------------------------------------------------------------------
 
 def write_library(path, components, grid: SpectrumGrid,
                   grid_spec: Optional[LibraryGridSpec] = None):
     """Write the library as JSON Lines: a header line with the format
-    version, kind and manifest, then one ``{"id", "params", "intensity"}``
-    line per component.  Base64 text needs no JSON escaping, so the
+    version, kind and manifest, then one line per component with the fields
+    of ``_LibraryLine``.  Base64 text needs no JSON escaping, so the
     intensity is written as it is, not through ``json.dumps``."""
-    header = json.dumps({
-        "format_version": FORMAT_VERSION["pure_library"],
-        "kind": "pure_library",
-        "manifest": {
-            "n_components": len(components),
-            "checksum_sha256": library_checksum(components),
-            "grid": to_json(grid),
-            "grid_spec": to_json(grid_spec) if grid_spec else None,
-        },
-    })
+    manifest = _Manifest(n_components=len(components),
+                         checksum_sha256=library_checksum(components),
+                         grid=grid, grid_spec=grid_spec)
+    header = json.dumps(_envelope("pure_library", to_json(_LibraryHeader(manifest))))
     # A 1 MB buffer makes one system call per megabyte, not per component.
     with open(path, "w", encoding="utf-8", newline="\n", buffering=1 << 20) as handle:
         handle.write(header + "\n")
@@ -225,31 +271,35 @@ def read_library(path):
     read holds neither the file's text nor its whole JSON tree.
     """
     with open(path, "rb") as handle:
-        header = json_line(handle.readline(), path, 1)
-        _check_version(header, "pure_library")
-        manifest = _require(header, "manifest", dict)
-        grid = from_json(SpectrumGrid, _require(manifest, "grid"), "manifest.grid")
-        if manifest.get("grid_spec") is not None:
-            from_json(LibraryGridSpec, manifest["grid_spec"], "manifest.grid_spec")
-        stated = _require(manifest, "n_components", int)
-        expected = _require(manifest, "checksum_sha256", str)
+        manifest = _from_envelope(_LibraryHeader, "pure_library",
+                                  json_line(handle.readline(), path, 1),
+                                  f"{path}: line 1").manifest
+        grid, stated = manifest.grid, manifest.n_components
         components = []
         for line in handle:
+            number = len(components) + 2
             if len(components) == stated:
-                raise DataFormatError(f"{path}: line {stated + 2} is trailing data: "
+                raise DataFormatError(f"{path}: line {number} is trailing data: "
                                       f"manifest.n_components is {stated}")
-            entry = json_line(line, path, len(components) + 2)
+            entry = json_line(line, path, number)
             # Freeing the line before its arrays are allocated fragments the
-            # heap less: the full library peaks at 310 MB RSS, 350 MB without
-            # (x86-64 Linux, glibc malloc).
+            # heap less: the full library peaks at 308 MB RSS, 350 MB without
+            # (x86-64 Linux, glibc malloc).  So does keeping ``entry`` until
+            # the next line is parsed: 312 MB if it is freed at once.  An
+            # enumerate() of the lines would keep each line alive.
             del line
-            components.append(_component_entry(entry, len(components), grid))
+            decoded = from_json(_LibraryLine, entry, f"{path}: line {number}")
+            if decoded.intensity.size != grid.n_points:
+                raise DataFormatError(f"{path}: line {number}: intensity length "
+                                      f"{decoded.intensity.size} != n_points {grid.n_points}")
+            components.append(PureComponent(id=decoded.id, params=decoded.params,
+                                            grid=grid, intensity=decoded.intensity))
     if stated != len(components):
         raise DataFormatError(f"manifest.n_components is {stated}, but the file "
                               f"holds {len(components)} components")
-    if library_checksum(components) != expected:
+    if library_checksum(components) != manifest.checksum_sha256:
         raise DataFormatError("library checksum mismatch (file corrupted?)")
-    return components, grid, manifest
+    return components, grid, to_json(manifest)
 
 
 def json_line(line: bytes, path, number: int):
@@ -260,19 +310,6 @@ def json_line(line: bytes, path, number: int):
         raise DataFormatError(f"{path}: line {number} is not valid JSON: {exc}") from None
 
 
-def _component_entry(entry, index: int, grid: SpectrumGrid) -> PureComponent:
-    where = f"components[{index}]"
-    if not isinstance(entry, dict):
-        raise DataFormatError(f"{where} must be a JSON object")
-    comp_id = _require(entry, "id", str)
-    params = from_json(QuadrupolarParams, _require(entry, "params"), f"{where}.params")
-    intensity = decode_array(_require(entry, "intensity", str), "intensity")
-    if intensity.size != grid.n_points:
-        raise DataFormatError(f"component {comp_id!r}: intensity length "
-                              f"{intensity.size} != n_points {grid.n_points}")
-    return PureComponent(id=comp_id, params=params, grid=grid, intensity=intensity)
-
-
 # ---------------------------------------------------------------------------
 # mixture datasets
 # ---------------------------------------------------------------------------
@@ -280,41 +317,23 @@ def _component_entry(entry, index: int, grid: SpectrumGrid) -> PureComponent:
 def write_dataset(path, dataset: MixtureDataset):
     provenance = None
     if dataset.components is not None:
-        provenance = {
-            "model": dataset.components[0].model,
-            "noise_factor": dataset.noise_factor,
-            "components": [to_json(s) for s in dataset.components],
-        }
-    payload = {
-        "format_version": FORMAT_VERSION["mixture_dataset"],
-        "kind": "mixture_dataset",
-        "grid": to_json(dataset.grid),
-        "normalization": dataset.normalization,
-        "spectra": [encode_array(row) for row in dataset.spectra],
-        "provenance": provenance,
-    }
-    write_json(path, payload)
+        provenance = _Provenance(model=dataset.components[0].model,
+                                 noise_factor=dataset.noise_factor,
+                                 components=tuple(dataset.components))
+    write_json(path, _envelope("mixture_dataset", to_json(_Dataset(
+        grid=dataset.grid, normalization=dataset.normalization,
+        spectra=tuple(dataset.spectra), provenance=provenance))))
 
 
 def read_dataset(path) -> MixtureDataset:
-    payload = read_json(path)
-    _check_version(payload, "mixture_dataset")
-    grid = from_json(SpectrumGrid, _require(payload, "grid"), "grid")
-    spectra = _rows(payload, "spectra")
-    if spectra.shape[1] != grid.n_points:
-        raise DataFormatError("spectra: rows must all have length n_points")
-
-    components = None
-    noise = 0.0
-    provenance = _optional(payload, "provenance", (dict, type(None)), None)
-    if provenance:
-        components = tuple(
-            from_json(IntensitySeries, entry, f"provenance.components[{i}]")
-            for i, entry in enumerate(_require(provenance, "components", list)))
-        noise = float(_optional(provenance, "noise_factor", (int, float), 0.0))
-    return MixtureDataset(grid=grid, spectra=spectra, components=components,
-                          noise_factor=noise,
-                          normalization=payload.get("normalization", "none"))
+    stored = _from_envelope(_Dataset, "mixture_dataset", read_json(path), path)
+    spectra = _stack(stored.spectra, "spectra", path, stored.grid.n_points)
+    components, noise = None, 0.0
+    if stored.provenance is not None:
+        components = stored.provenance.components
+        noise = stored.provenance.noise_factor
+    return MixtureDataset(grid=stored.grid, spectra=spectra, components=components,
+                          noise_factor=noise, normalization=stored.normalization)
 
 
 # ---------------------------------------------------------------------------
@@ -322,49 +341,31 @@ def read_dataset(path) -> MixtureDataset:
 # ---------------------------------------------------------------------------
 
 def write_component_set(path, result: ComponentSet, grid: Optional[SpectrumGrid] = None):
-    payload = {
-        "format_version": FORMAT_VERSION["component_set"],
-        "kind": "component_set",
-        "technique": result.technique,
-        "k_requested": result.k,
-        "converged": result.converged,
-        "runtime_seconds": result.runtime_seconds,
-        "grid": to_json(grid) if grid else None,
-        "components": [encode_array(row) for row in result.components],
-        "coefficients": [encode_array(row) for row in result.coefficients],
-        "meta": result.meta,
-    }
-    write_json(path, payload)
+    write_json(path, _envelope("component_set", to_json(_ComponentSet(
+        technique=result.technique, k_requested=result.k, converged=result.converged,
+        runtime_seconds=result.runtime_seconds, grid=grid,
+        components=tuple(result.components), coefficients=tuple(result.coefficients),
+        meta=result.meta))))
 
 
 def read_component_set(path) -> tuple:
     """The component set in ``path`` and the grid its rows are sampled on,
     or None for a file written without one."""
-    payload = read_json(path)
-    _check_version(payload, "component_set")
-    comps = _rows(payload, "components")
-    coeff = _rows(payload, "coefficients")
-    k = _require(payload, "k_requested", int)
+    stored = _from_envelope(_ComponentSet, "component_set", read_json(path), path)
+    k, grid = stored.k_requested, stored.grid
+    comps = _stack(stored.components, "components", path, grid and grid.n_points)
     if k != comps.shape[0]:
-        raise DataFormatError(f"k_requested {k} != {comps.shape[0]} component rows")
-    technique = _require(payload, "technique", str)
-    parse_technique(technique)
-    grid = payload.get("grid")
-    if grid is not None:
-        grid = from_json(SpectrumGrid, grid, "grid")
-        if comps.shape[1] != grid.n_points:
-            raise DataFormatError(f"component rows of length {comps.shape[1]} "
-                                  f"!= grid n_points {grid.n_points}")
+        raise DataFormatError(f"{path}: k_requested {k} != {comps.shape[0]} component rows")
+    coeff = _stack(stored.coefficients, "coefficients", path, k)
+    parse_technique(stored.technique)
     return ComponentSet(
-        components=comps, coefficients=coeff, technique=technique,
-        converged=_require(payload, "converged", bool),
-        runtime_seconds=float(_optional(payload, "runtime_seconds", (int, float), 0.0)),
-        meta=_optional(payload, "meta", dict, {})), grid
+        components=comps, coefficients=coeff, technique=stored.technique,
+        converged=stored.converged, runtime_seconds=stored.runtime_seconds,
+        meta=stored.meta), grid
 
 
 def write_match_report(path, report: MatchReport):
-    write_json(path, {
-        "format_version": FORMAT_VERSION["match_report"], "kind": "match_report",
+    write_json(path, _envelope("match_report", {
         "pairs": [{"predicted": i, "pure": j,
                    "B": fit.B, "M": fit.M, "lack_of_fit": fit.lack_of_fit}
                   for i, j, fit in report.pairs],
@@ -372,4 +373,4 @@ def write_match_report(path, report: MatchReport):
         "discarded_predicted": report.discarded_predicted,
         "unmatched_pure": report.unmatched_pure,
         "dataset_error": report.dataset_error,
-    })
+    }))
